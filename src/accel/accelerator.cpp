@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 
 #include "accel/kernels.hpp"
-#include "accel/pipeline.hpp"
 #include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "jacobi/block.hpp"
@@ -58,7 +55,6 @@ void HeteroSvdAccelerator::rebuild() {
   const versal::ArrayGeometry geo(config_.device.aie_rows,
                                   config_.device.aie_cols);
   array_ = std::make_unique<versal::AieArraySim>(geo, config_.device);
-  array_->attach_trace(trace_);
   array_->attach_faults(faults_);
   array_->attach_observer(obs_);
 
@@ -112,30 +108,13 @@ void HeteroSvdAccelerator::rebuild() {
                                           std::move(forwarding), *array_);
     ch->receiver =
         std::make_unique<Receiver>(ch->rx[0], ch->rx[1], array_.get());
-    // A degraded-link fault scales the slot's PLIO bandwidth for the
-    // whole run (the paper's PLIOs are static physical routes).
-    if (faults_ != nullptr) {
-      const double scale = faults_->plio_scale(t);
-      if (scale < 1.0) {
-        ch->tx[0].degrade(scale);
-        ch->tx[1].degrade(scale);
-        ch->rx[0].degrade(scale);
-        ch->rx[1].degrade(scale);
-        ch->norm_tx.degrade(scale);
-        ch->norm_rx.degrade(scale);
-      }
-    }
     channels_.push_back(std::move(ch));
   }
+  apply_plio_degradation();
 
   // Loop-switching overhead of the HLS state machines (t_hls): a fixed
   // number of PL cycles charged at each block-pair launch.
   hls_overhead_s_ = 64.0 / config_.pl_frequency_hz;
-}
-
-void HeteroSvdAccelerator::attach_trace(versal::TraceRecorder* recorder) {
-  trace_ = recorder;
-  array_->attach_trace(recorder);
 }
 
 void HeteroSvdAccelerator::attach_observer(obs::ObsContext* observer) {
@@ -151,18 +130,18 @@ void HeteroSvdAccelerator::attach_cancellation(
 void HeteroSvdAccelerator::attach_faults(versal::FaultInjector* faults) {
   faults_ = faults;
   array_->attach_faults(faults);
-  if (faults_ != nullptr) {
-    for (std::size_t t = 0; t < channels_.size(); ++t) {
-      const double scale = faults_->plio_scale(static_cast<int>(t));
-      if (scale < 1.0) {
-        auto& ch = *channels_[t];
-        ch.tx[0].degrade(scale);
-        ch.tx[1].degrade(scale);
-        ch.rx[0].degrade(scale);
-        ch.rx[1].degrade(scale);
-        ch.norm_tx.degrade(scale);
-        ch.norm_rx.degrade(scale);
-      }
+  apply_plio_degradation();
+}
+
+void HeteroSvdAccelerator::apply_plio_degradation() {
+  if (faults_ == nullptr) return;
+  for (std::size_t t = 0; t < channels_.size(); ++t) {
+    const double scale = faults_->plio_scale(static_cast<int>(t));
+    if (scale >= 1.0) continue;
+    auto& ch = *channels_[t];
+    for (versal::Channel* c : {&ch.tx[0], &ch.tx[1], &ch.rx[0], &ch.rx[1],
+                               &ch.norm_tx, &ch.norm_rx}) {
+      c->degrade(scale);
     }
   }
 }
@@ -214,15 +193,8 @@ void HeteroSvdAccelerator::reset_timelines() {
 
 HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
     int slot, int task_id, int bu, int bv, double launch, linalg::MatrixF* b,
-    std::vector<float>* colnorm, SystemModule& system,
-    const StagedPair* staged) {
+    std::vector<float>* colnorm, SystemModule& system) {
   const bool functional = b != nullptr;
-  // Staged mode (the pipeline's load stage): real payloads flow through
-  // the fabric from the caller's snapshot -- so every transport-side
-  // detection point (missing buffer, DMA shadow, Rx checksum) fires
-  // exactly as in functional mode -- but the math is deferred to the
-  // orthogonalize stage downstream.
-  const bool payloads = functional || staged != nullptr;
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
   const int layers = config_.orth_layers();
@@ -252,10 +224,6 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
       payload.assign(col.begin(), col.end());
       sent_crc[static_cast<std::size_t>(c)] =
           versal::buffer_checksum(payload);
-    } else if (staged != nullptr) {
-      payload = (*staged->cols)[static_cast<std::size_t>(c)];
-      sent_crc[static_cast<std::size_t>(c)] =
-          versal::buffer_checksum(payload);
     }
     arrival[static_cast<std::size_t>(c)] = ch.sender->send_column(
         c < k ? 0 : 1,
@@ -281,10 +249,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                                 " hung during orthogonalization"),
                             tile.row, tile.col, in_ready);
       }
-      if (staged != nullptr && staged->kernel_end != nullptr) {
-        (*staged->kernel_end)[static_cast<std::size_t>(l * k + e)] = end;
-      }
-      if (payloads) {
+      if (functional) {
         const int gl = global[static_cast<std::size_t>(pair.left)];
         const int gr = global[static_cast<std::size_t>(pair.right)];
         auto& mem = array_->memory(tile);
@@ -296,20 +261,18 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                   "transit)"),
               tile.row, tile.col, end);
         }
-        if (functional) {
-          const auto r = orth_kernel(
-              b->col(static_cast<std::size_t>(gl)),
-              b->col(static_cast<std::size_t>(gr)),
-              (*colnorm)[static_cast<std::size_t>(gl)],
-              (*colnorm)[static_cast<std::size_t>(gr)]);
-          if (!std::isfinite(r.coherence)) {
-            throw FaultDetected(
-                cat("orth kernel on tile ", versal::to_string(tile),
-                    " produced a non-finite coherence"),
-                tile.row, tile.col, end);
-          }
-          system.observe_pair(r.coherence);
+        const auto r = orth_kernel(
+            b->col(static_cast<std::size_t>(gl)),
+            b->col(static_cast<std::size_t>(gr)),
+            (*colnorm)[static_cast<std::size_t>(gl)],
+            (*colnorm)[static_cast<std::size_t>(gr)]);
+        if (!std::isfinite(r.coherence)) {
+          throw FaultDetected(
+              cat("orth kernel on tile ", versal::to_string(tile),
+                  " produced a non-finite coherence"),
+              tile.row, tile.col, end);
         }
+        system.observe_pair(r.coherence);
       }
       arrival[static_cast<std::size_t>(pair.left)] = end;
       arrival[static_cast<std::size_t>(pair.right)] = end;
@@ -327,7 +290,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
               arrival[static_cast<std::size_t>(mv.column)],
               static_cast<std::uint64_t>(col_bytes));
           arrival[static_cast<std::size_t>(mv.column)] = done;
-          if (payloads) {
+          if (functional) {
             // Resolve the DMA shadow: the consumer's copy becomes
             // the live buffer, the producer's original is released.
             auto& src_mem = array_->memory(mv.src);
@@ -354,7 +317,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   for (int c = 0; c < 2 * k; ++c) {
     const double done = ch.receiver->receive_column(
         c < k ? 0 : 1, arrival[static_cast<std::size_t>(c)], col_bytes);
-    if (payloads) {
+    if (functional) {
       const versal::TileCoord tile =
           task.orth[schedule.size() - 1]
                    [static_cast<std::size_t>(last[static_cast<std::size_t>(c)].slot)];
@@ -386,7 +349,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
 
 double HeteroSvdAccelerator::execute_norm_block(
     int slot, int blk, double ready, linalg::MatrixF* b,
-    std::vector<float>* sigma, std::vector<double>* rx_done_out) {
+    std::vector<float>* sigma) {
   const bool functional = b != nullptr;
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
@@ -429,9 +392,6 @@ double HeteroSvdAccelerator::execute_norm_block(
       }
     }
     blk_done = std::max(blk_done, rx_done);
-    if (rx_done_out != nullptr) {
-      (*rx_done_out)[static_cast<std::size_t>(i)] = rx_done;
-    }
     if (functional) {
       const std::size_t gc = static_cast<std::size_t>(blk * k + i);
       (*sigma)[gc] = norm_kernel(b->col(gc)).sigma;
@@ -446,93 +406,10 @@ double HeteroSvdAccelerator::execute_norm_block(
   return blk_done;
 }
 
-bool HeteroSvdAccelerator::pipeline_enabled() const {
-  // Structural requirements for any mode: a trace recorder or an obs
-  // tracer needs the sequential path's event order (same rule as the
-  // parallel slot chains), so either forces the pipeline off.
-  if (trace_ != nullptr) return false;
-  if (obs_ != nullptr && obs_->tracer() != nullptr) return false;
-  switch (config_.pipeline) {
-    case PipelineMode::kOff:
-      return false;
-    case PipelineMode::kOn:
-      return true;
-    case PipelineMode::kAuto:
-      break;
-  }
-  const char* env = std::getenv("HSVD_PIPELINE");
-  if (env != nullptr) {
-    if (std::strcmp(env, "off") == 0) return false;
-    if (std::strcmp(env, "on") == 0) return true;
-  }
-  // kAuto stays sequential under a fault injector -- a *failed* task's
-  // partial-op stats could otherwise include a few run-ahead fabric ops
-  // -- and on single-core hosts where stage threads cannot overlap.
-  return faults_ == nullptr && common::ThreadPool::hardware_threads() > 1;
-}
-
-void HeteroSvdAccelerator::finish_task(TaskResult& result, int slot,
-                                       int task_id, double task_end,
-                                       int iterations_run,
-                                       const SystemModule& system,
-                                       linalg::MatrixF* b,
-                                       std::vector<float>* sigma) {
-  const bool functional = b != nullptr;
-  const std::size_t m = config_.rows;
-  const std::size_t n_pad = config_.padded_cols();
-  result.end_seconds = task_end;
-  if (obs_ != nullptr) {
-    obs_->metrics().add("sim.tasks.completed");
-    if (obs::Tracer* tr = obs_->tracer()) {
-      tr->span(obs::Domain::kSim, cat("slot", slot), cat("task", task_id),
-               "task", result.start_seconds,
-               result.end_seconds - result.start_seconds);
-    }
-  }
-  result.iterations = iterations_run;
-  result.convergence_rate = system.convergence_rate();
-  if (functional && config_.precision.has_value()) {
-    result.converged = system.should_terminate(true);
-    if (!result.converged) result.status = hsvd::SvdStatus::kNotConverged;
-    if (!result.converged) {
-      result.message = result.watchdog_stalled
-                           ? cat("convergence watchdog: coherence stalled at ",
-                                 sci(system.convergence_rate()), " for ",
-                                 SystemModule::stall_limit(), " sweeps")
-                           : cat("sweep budget exhausted at coherence ",
-                                 sci(system.convergence_rate()));
-    }
-  }
-  if (functional) {
-    // Sort factors by descending singular value (done on the PS side in
-    // the paper's system; negligible next to the accelerator time). The
-    // zero-padded columns have sigma = 0, sort last, and are truncated.
-    std::vector<std::size_t> order(n_pad);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-      return (*sigma)[x] > (*sigma)[y];
-    });
-    result.u = linalg::MatrixF(m, config_.cols);
-    result.sigma.resize(config_.cols);
-    for (std::size_t t = 0; t < config_.cols; ++t) {
-      result.sigma[t] = (*sigma)[order[t]];
-      auto src = b->col(order[t]);
-      auto dst = result.u.col(t);
-      for (std::size_t r = 0; r < m; ++r) dst[r] = src[r];
-    }
-  }
-}
-
 TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
                                               const linalg::MatrixF* matrix,
                                               int task_id) {
   const bool functional = matrix != nullptr;
-  // Streaming stage pipeline (accel/pipeline.cpp): overlaps consecutive
-  // tournament rounds within a sweep. Functional mode only -- the
-  // timing-only path has no math to overlap with the fabric simulation.
-  if (functional && pipeline_enabled()) {
-    return TaskPipeline::run(*this, slot, ready, *matrix, task_id);
-  }
   const int k = config_.p_eng;
   const int p = config_.blocks();
   const std::size_t m = config_.rows;
@@ -577,11 +454,10 @@ TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
 
   int iterations_run = 0;
   for (int iter = 0; iter < max_iters; ++iter) {
-    // Sweep-barrier cancellation point, mirroring the pipelined path's
-    // stage-boundary poll: a deadline or a preemption cancel lands
-    // between sweeps, where no rotation is in flight, and the purge
-    // leaves the fabric as if the task never ran. The task boundary in
-    // execute_batch already covered iter 0 an instant ago.
+    // Sweep-barrier cancellation point: a deadline or a preemption
+    // cancel lands between sweeps, where no rotation is in flight, and
+    // the purge leaves the fabric as if the task never ran. The task
+    // boundary in execute_batch already covered iter 0 an instant ago.
     if (iter > 0 && cancel_ != nullptr && cancel_->expired()) {
       purge_task_buffers(slot, task_id);
       throw hsvd::DeadlineExceeded(
@@ -632,8 +508,47 @@ TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
     task_end = std::max(task_end, blk_done);
   }
 
-  finish_task(result, slot, task_id, task_end, iterations_run, system,
-              functional ? &b : nullptr, functional ? &sigma : nullptr);
+  result.end_seconds = task_end;
+  if (obs_ != nullptr) {
+    obs_->metrics().add("sim.tasks.completed");
+    if (obs::Tracer* tr = obs_->tracer()) {
+      tr->span(obs::Domain::kSim, cat("slot", slot), cat("task", task_id),
+               "task", result.start_seconds,
+               result.end_seconds - result.start_seconds);
+    }
+  }
+  result.iterations = iterations_run;
+  result.convergence_rate = system.convergence_rate();
+  if (functional && config_.precision.has_value()) {
+    result.converged = system.should_terminate(true);
+    if (!result.converged) result.status = hsvd::SvdStatus::kNotConverged;
+    if (!result.converged) {
+      result.message = result.watchdog_stalled
+                           ? cat("convergence watchdog: coherence stalled at ",
+                                 sci(system.convergence_rate()), " for ",
+                                 SystemModule::stall_limit(), " sweeps")
+                           : cat("sweep budget exhausted at coherence ",
+                                 sci(system.convergence_rate()));
+    }
+  }
+  if (functional) {
+    // Sort factors by descending singular value (done on the PS side in
+    // the paper's system; negligible next to the accelerator time). The
+    // zero-padded columns have sigma = 0, sort last, and are truncated.
+    std::vector<std::size_t> order(n_pad);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return sigma[x] > sigma[y];
+    });
+    result.u = linalg::MatrixF(m, config_.cols);
+    result.sigma.resize(config_.cols);
+    for (std::size_t t = 0; t < config_.cols; ++t) {
+      result.sigma[t] = sigma[order[t]];
+      auto src = b.col(order[t]);
+      auto dst = result.u.col(t);
+      for (std::size_t r = 0; r < m; ++r) dst[r] = src[r];
+    }
+  }
   return result;
 }
 
@@ -706,14 +621,13 @@ RunResult HeteroSvdAccelerator::execute_batch(
   // sequential results and simulated timings bit for bit; only the
   // simulation's wall-clock changes. (Fault triggers are counted per
   // tile, so injected outcomes are thread-count invariant too.) Slots
-  // sharing a DDR port (P_task > ports) or an attached trace recorder
-  // would interleave on shared state, so those cases keep the
-  // sequential path.
+  // sharing a DDR port (P_task > ports) would interleave on shared
+  // state, and an enabled tracer needs a reproducible event order, so
+  // those cases keep the sequential path.
   const int chains = std::min(config_.p_task, batch_size);
   const int threads = common::ThreadPool::resolve_threads(config_.host_threads);
   const bool parallel_chains = threads > 1 && chains > 1 &&
                                config_.p_task <= noc_.ports() &&
-                               array_->trace() == nullptr &&
                                (obs_ == nullptr || obs_->tracer() == nullptr);
   const auto run_chain = [&](std::size_t slot_index) {
     const int slot = static_cast<int>(slot_index);

@@ -71,24 +71,6 @@ struct RunResult {
   versal::UtilizationReport utilization;
 };
 
-// Staged execution input for execute_block_pair (the streaming pipeline's
-// load stage): the pair's column payloads come from a snapshot instead of
-// the live matrix, every fabric-side op and detection point (Tx
-// checksums, missing-buffer checks, Rx integrity, tile-memory traffic)
-// runs exactly as in functional mode, and the math is skipped -- it runs
-// downstream in the orthogonalize stage on the same snapshot.
-struct StagedPair {
-  // 2k column snapshots in local pair order (block u's k columns, then
-  // block v's). Never null in staged mode.
-  const std::vector<std::vector<float>>* cols = nullptr;
-  // Out (optional): simulated completion time of each orth kernel,
-  // indexed [layer * k + engine]. The math stage stamps these times on
-  // its FaultDetected throws so diagnostics match the sequential path.
-  std::vector<double>* kernel_end = nullptr;
-};
-
-class TaskPipeline;
-
 class HeteroSvdAccelerator {
  public:
   explicit HeteroSvdAccelerator(const HeteroSvdConfig& config);
@@ -107,9 +89,6 @@ class HeteroSvdAccelerator {
   RunResult estimate(int batch_size);
 
   const HeteroSvdConfig& config() const { return config_; }
-  // Attach an execution trace recorder (kernels/DMA/streams land in it;
-  // export with TraceRecorder::write_chrome_json). Not owned.
-  void attach_trace(versal::TraceRecorder* recorder);
   // Attach a fault injector (not owned; nullptr detaches). PLIO
   // degradation faults are applied to the task slots' channels
   // immediately; tile-level faults fire from inside the array simulator.
@@ -118,16 +97,17 @@ class HeteroSvdAccelerator {
   // Metrics are recorded unconditionally once attached; when the
   // context's tracer is enabled the batch engine additionally records
   // task/PLIO/DDR spans and fault detect/recover instants, and falls
-  // back to sequential slot chains (like attach_trace) so the event
-  // order stays reproducible. Observation never changes results or the
+  // back to sequential slot chains so the event order stays
+  // reproducible. Observation never changes results or the
   // simulated timeline.
   void attach_observer(obs::ObsContext* observer);
   obs::ObsContext* observer() const { return obs_; }
   // Attach a cooperative cancellation token (not owned; nullptr
-  // detaches). The batch engine polls it at slot-chain boundaries --
-  // before each task of a chain and before each recovery round -- and
+  // detaches). The batch engine polls it before each task of a chain,
+  // at each task's sweep barriers and before each recovery round, and
   // aborts the run by throwing hsvd::DeadlineExceeded once it expires.
-  // Work is never interrupted mid-task, so cancellation leaves the
+  // Work is never interrupted mid-sweep, and an abort at a sweep
+  // barrier purges the task's tile buffers, so cancellation leaves the
   // simulator in a consistent state.
   void attach_cancellation(const common::CancelToken* cancel);
   const PlacementResult& placement() const { return placement_; }
@@ -162,24 +142,17 @@ class HeteroSvdAccelerator {
   // two orth PLIOs, the (2k-1)-layer orthogonalization pipeline with its
   // inter-layer moves, and Rx back into the PL buffers. `b` and
   // `colnorm` are null in timing-only mode. Throws hsvd::FaultDetected
-  // at the same detection points as execute_task(). `staged` (with b ==
-  // nullptr) selects the pipeline's load-stage mode: payloads flow from
-  // the snapshot and the math is deferred to a downstream stage.
+  // at the same detection points as execute_task().
   PairCompletion execute_block_pair(int slot, int task_id, int bu, int bv,
                                     double launch, linalg::MatrixF* b,
                                     std::vector<float>* colnorm,
-                                    SystemModule& system,
-                                    const StagedPair* staged = nullptr);
+                                    SystemModule& system);
 
   // Executes the normalization of block `blk` (norm Tx at `ready`, k
   // norm kernels, per-column Rx); returns when the block's results are
   // back in the PL buffers. `b`/`sigma` are null in timing-only mode.
-  // `rx_done_out` (optional, size >= k) receives each engine's Rx
-  // completion time; the pipeline's normalize stage stamps these on its
-  // FaultDetected throws.
   double execute_norm_block(int slot, int blk, double ready,
-                            linalg::MatrixF* b, std::vector<float>* sigma,
-                            std::vector<double>* rx_done_out = nullptr);
+                            linalg::MatrixF* b, std::vector<float>* sigma);
 
   // Releases every buffer a failed task left in its slot's tile
   // memories, so later tasks on the same tiles start clean.
@@ -204,29 +177,8 @@ class HeteroSvdAccelerator {
   versal::UtilizationReport utilization(double makespan) const {
     return array_->utilization(makespan);
   }
-  bool has_trace() const { return trace_ != nullptr; }
 
  private:
-  // The streaming stage pipeline (accel/pipeline.cpp) executes a task by
-  // driving the pair-level primitives above plus the private state below
-  // (schedules, placement, arrangement wiring), so it is a friend rather
-  // than a wider public surface.
-  friend class TaskPipeline;
-
-  // True when execute_task may run through the streaming stage pipeline:
-  // config().pipeline (plus the HSVD_PIPELINE env override in kAuto) and
-  // the structural requirements -- no trace recorder, no obs tracer.
-  bool pipeline_enabled() const;
-
-  // Shared tail of execute_task (both the sequential and the pipelined
-  // path): close the task span, fold the convergence verdict into
-  // `result`, sort the factors by descending sigma and truncate the
-  // padding. `b`/`sigma` are null in timing-only mode.
-  void finish_task(TaskResult& result, int slot, int task_id,
-                   double task_end, int iterations_run,
-                   const SystemModule& system, linalg::MatrixF* b,
-                   std::vector<float>* sigma);
-
   // Executes one task on hardware slot `slot`, starting no earlier than
   // `ready`. `matrix` is null in timing-only mode. `task_id` tags the
   // task's column buffers in tile memories; ids are assigned up front by
@@ -248,6 +200,12 @@ class HeteroSvdAccelerator {
   // no longer fits the current shape. Returns false when no degraded
   // configuration fits (recovery impossible).
   bool mask_and_replace(const std::vector<versal::TileCoord>& bad);
+
+  // Scales every PLIO channel of each task slot by the attached fault
+  // injector's degraded-link factor (a no-op without an injector). The
+  // paper's PLIOs are static physical routes, so a degraded link stays
+  // degraded for the whole run.
+  void apply_plio_degradation();
 
   HeteroSvdConfig config_;
   PlacementResult placement_;
@@ -273,7 +231,6 @@ class HeteroSvdAccelerator {
   versal::NocModel noc_;
   // HLS loop-switching overhead applied at block-round boundaries.
   double hls_overhead_s_ = 0.0;
-  versal::TraceRecorder* trace_ = nullptr;
   versal::FaultInjector* faults_ = nullptr;
   const common::CancelToken* cancel_ = nullptr;
   obs::ObsContext* obs_ = nullptr;

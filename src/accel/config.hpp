@@ -15,28 +15,6 @@
 
 namespace hsvd::accel {
 
-// Streaming-stage execution of a task's sweep (accel/pipeline.cpp):
-// consecutive tournament rounds overlap -- the fabric simulation of one
-// block pair runs while earlier pairs are still in the math stages --
-// connected by bounded SPSC queues. Results, simulated timings and
-// simulator stats are bit-identical to the sequential slot-chain path
-// (DESIGN.md section 12).
-enum class PipelineMode {
-  // Pipeline when it preserves semantics *exactly* and host parallelism
-  // exists: functional mode, no trace recorder / obs tracer, no fault
-  // injector (an injected fault would surface identically, but the
-  // partial-op stats of the *failed* task could include a few run-ahead
-  // fabric ops), more than one hardware thread. The HSVD_PIPELINE
-  // environment variable ("on" / "off") overrides the heuristics.
-  kAuto,
-  // Never pipeline (the seed's sequential execution, always available).
-  kOff,
-  // Pipeline whenever structurally possible (functional mode without a
-  // trace recorder or obs tracer), even under a fault injector or on a
-  // single-core host. Used by the differential tests to pin kOn == kOff.
-  kOn,
-};
-
 struct HeteroSvdConfig {
   // Problem.
   std::size_t rows = 128;        // m
@@ -62,11 +40,6 @@ struct HeteroSvdConfig {
   // this many times. 0 disables recovery: failed tasks keep
   // SvdStatus::kFailed and the rest of the batch still completes.
   int fault_retries = 2;
-
-  // Streaming stage pipeline for the per-task sweep loop (see
-  // PipelineMode above). Host wall-clock only; simulated results and
-  // timings are identical either way.
-  PipelineMode pipeline = PipelineMode::kAuto;
 
   // Algorithm choice; the co-designed default.
   jacobi::OrderingKind ordering = jacobi::OrderingKind::kShiftingRing;

@@ -36,10 +36,6 @@ HeteroSvdAccelerator& ShardedAccelerator::array(int s) {
   return *arrays_[static_cast<std::size_t>(s)];
 }
 
-void ShardedAccelerator::attach_trace(versal::TraceRecorder* recorder) {
-  arrays_.front()->attach_trace(recorder);
-}
-
 void ShardedAccelerator::attach_faults(versal::FaultInjector* faults) {
   arrays_.front()->attach_faults(faults);
 }
@@ -57,7 +53,7 @@ void ShardedAccelerator::attach_cancellation(const common::CancelToken* cancel) 
 bool ShardedAccelerator::fanout_parallel() const {
   const int threads =
       common::ThreadPool::resolve_threads(config().host_threads);
-  return threads > 1 && shards() > 1 && !arrays_.front()->has_trace() &&
+  return threads > 1 && shards() > 1 &&
          (obs_ == nullptr || obs_->tracer() == nullptr);
 }
 

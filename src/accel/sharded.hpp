@@ -63,11 +63,10 @@ class ShardedAccelerator {
   // array has no inter-shard traffic).
   const shard::InterShardLink* link() const { return link_.get(); }
 
-  // Attachment points mirror the single-array engine. Trace, faults and
-  // observer go to shard 0 (S = 1: the only array); with a trace
-  // recorder or an enabled tracer attached the per-round shard fan-out
-  // runs sequentially so event order stays reproducible.
-  void attach_trace(versal::TraceRecorder* recorder);
+  // Attachment points mirror the single-array engine. Faults and the
+  // observer go to shard 0 (S = 1: the only array); with an enabled
+  // tracer attached the per-round shard fan-out runs sequentially so
+  // event order stays reproducible.
   void attach_faults(versal::FaultInjector* faults);
   void attach_observer(obs::ObsContext* observer);
   void attach_cancellation(const common::CancelToken* cancel);

@@ -3,8 +3,8 @@
 // An ObsContext bundles a MetricsRegistry (always on once attached;
 // sharded, safe to record from concurrent pool workers) and an optional
 // Tracer (off until enable_tracing(); recording spans serializes the
-// accelerator's batch engine the same way the legacy TraceRecorder
-// does). Everything in the library takes a raw `ObsContext*` and treats
+// accelerator's batch engine so the event order is reproducible).
+// Everything in the library takes a raw `ObsContext*` and treats
 // nullptr as "observability disabled": the disabled path is a single
 // pointer check, results are bit-identical and the simulated timeline is
 // untouched either way -- observation only ever *reads* the simulation's

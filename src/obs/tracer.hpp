@@ -13,8 +13,8 @@
 //
 // Appends are mutex-serialized: host-domain spans genuinely arrive from
 // concurrent pool workers. Simulated-domain recording additionally
-// serializes the accelerator's batch engine (same rule as the legacy
-// versal::TraceRecorder) so the simulated event order is reproducible.
+// serializes the accelerator's batch engine (sequential slot chains and
+// shard fan-out) so the simulated event order is reproducible.
 #pragma once
 
 #include <chrono>

@@ -107,10 +107,6 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
   const double duration =
       stall + dma_setup_seconds() + static_cast<double>(bytes) / dma_rate();
   const double done = engine.schedule(ready, duration);
-  if (trace_ != nullptr) {
-    trace_->record(TraceKind::kDma, cat("dma", to_string(src)),
-                   cat(key, " -> ", to_string(dst)), done - duration, duration);
-  }
   if (obs_ != nullptr) {
     obs_->metrics().add("sim.dma.transfers");
     obs_->metrics().add("sim.dma.bytes", bytes);
@@ -159,11 +155,6 @@ double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
   Timeline& port = stream_ports_[static_cast<std::size_t>(geometry_.index_of(dst))];
   const double duration = stall + static_cast<double>(wire_bytes) / rate;
   const double done = port.schedule(ready, duration);
-  if (trace_ != nullptr) {
-    trace_->record(TraceKind::kStream, cat("stream", to_string(dst)),
-                   cat("pkt c", packet.header.column, " t", packet.header.task),
-                   done - duration, duration);
-  }
   if (obs_ != nullptr) {
     obs_->metrics().add("sim.stream.packets");
     obs_->metrics().add("sim.stream.bytes", wire_bytes);
@@ -195,10 +186,6 @@ double AieArraySim::run_kernel(const TileCoord& tile, double ready,
     return std::numeric_limits<double>::infinity();
   }
   const double done = core(tile).schedule(ready, duration);
-  if (trace_ != nullptr) {
-    trace_->record(TraceKind::kKernel, cat("core", to_string(tile)), "kernel",
-                   done - duration, duration);
-  }
   if (obs_ != nullptr) {
     obs_->metrics().add("sim.kernel.invocations");
     obs_->metrics().observe("sim.kernel.cycles",

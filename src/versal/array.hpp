@@ -21,7 +21,6 @@
 #include "versal/packet.hpp"
 #include "versal/resources.hpp"
 #include "versal/timeline.hpp"
-#include "versal/trace.hpp"
 #include "versal/utilization.hpp"
 
 namespace hsvd::versal {
@@ -93,14 +92,6 @@ class AieArraySim {
   // DMA engine rate (bytes/s): 32-bit per AIE clock cycle.
   double dma_rate() const { return 4.0 * device_.aie_clock_hz; }
 
-  // Optional execution tracing: when attached, every kernel, DMA, and
-  // stream packet is recorded (not owned; pass nullptr to detach).
-  // Tracing serializes execution: the accelerator's parallel batch path
-  // checks trace() and falls back to sequential task chains so the
-  // recorded event order stays reproducible.
-  void attach_trace(TraceRecorder* recorder) { trace_ = recorder; }
-  TraceRecorder* trace() const { return trace_; }
-
   // Per-transfer DMA setup: buffer-descriptor programming plus lock
   // acquire/release (~300 AIE cycles). Part of why DMA is the slow path.
   double dma_setup_seconds() const { return 300.0 / device_.aie_clock_hz; }
@@ -117,9 +108,9 @@ class AieArraySim {
   // attached, transfers and kernels record metrics counters/histograms,
   // and -- when the context's tracer is enabled -- simulated-domain spans
   // (per-tile kernel/DMA/stream tracks) plus fault-injection instants.
-  // Like the legacy TraceRecorder, an enabled *tracer* serializes the
-  // accelerator's batch engine so event order stays reproducible;
-  // metrics-only observation is sharded and stays parallel-safe.
+  // An enabled *tracer* serializes the accelerator's batch engine so
+  // event order stays reproducible; metrics-only observation is sharded
+  // and stays parallel-safe.
   void attach_observer(obs::ObsContext* observer);
   obs::ObsContext* observer() const { return obs_; }
 
@@ -158,7 +149,6 @@ class AieArraySim {
   }
   std::unique_ptr<TileCounters[]> tile_counters_;
   mutable ArrayStats stats_snapshot_;  // materialized by stats()
-  TraceRecorder* trace_ = nullptr;
   FaultInjector* faults_ = nullptr;
   obs::ObsContext* obs_ = nullptr;
 };

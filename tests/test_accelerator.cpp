@@ -1,9 +1,14 @@
 // End-to-end tests for the HeteroSVD accelerator: functional correctness
 // through the simulated fabric, batching, padding, convergence mode, and
-// timing sanity.
+// timing sanity, and cancellation at the sweep barrier.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "accel/accelerator.hpp"
+#include "common/clock.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/metrics.hpp"
@@ -203,6 +208,80 @@ TEST(Accelerator, UtilizationAndResourcesReported) {
   EXPECT_GT(run.memory_utilization, 0.0);
   EXPECT_EQ(run.resources.aie_orth, 28);
   EXPECT_EQ(run.resources.plio, 6);
+}
+
+// Advances one second on every read, so a token whose deadline is N
+// expires on exactly the Nth poll.
+class SteppingClock final : public common::Clock {
+ public:
+  double now_seconds() const override { return ++reads_; }
+  void sleep_for(double) override {}
+
+ private:
+  mutable double reads_ = 0.0;
+};
+
+TEST(Accelerator, SweepBarrierCancellationLeavesFabricClean) {
+  // Poll 1 is execute_batch's task boundary and poll 2 the sweep barrier
+  // before the second sweep, so the task aborts mid-run with one sweep
+  // of fabric ops done. The purge must leave nothing behind: the next
+  // run on the same accelerator is bit-identical to a fresh one's.
+  HeteroSvdConfig cfg;
+  cfg.rows = 32;
+  cfg.cols = 16;
+  cfg.p_eng = 4;  // 4 blocks -> 6 block pairs per sweep
+  cfg.p_task = 1;
+  cfg.iterations = 3;
+  const MatrixF a = random_matrix(32, 16, 9);
+
+  HeteroSvdAccelerator acc(cfg);
+  SteppingClock clock;
+  common::CancelToken token(clock, 2.0);
+  acc.attach_cancellation(&token);
+  try {
+    acc.run({a});
+    FAIL() << "run() finished past an expired deadline";
+  } catch (const hsvd::DeadlineExceeded& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep barrier 1"),
+              std::string::npos)
+        << e.what();
+  }
+  acc.attach_cancellation(nullptr);
+  // Simulator counters are cumulative: take the cancelled sweep's share
+  // out before comparing.
+  const versal::ArrayStats cancelled = acc.array_stats();
+  EXPECT_GT(cancelled.kernel_invocations, 0u);
+  const RunResult after = acc.run({a});
+
+  HeteroSvdAccelerator fresh(cfg);
+  const RunResult clean = fresh.run({a});
+  ASSERT_EQ(after.tasks.size(), 1u);
+  const TaskResult& x = after.tasks[0];
+  const TaskResult& y = clean.tasks[0];
+  ASSERT_EQ(x.status, hsvd::SvdStatus::kOk);
+  ASSERT_EQ(x.u.data().size(), y.u.data().size());
+  EXPECT_EQ(std::memcmp(x.u.data().data(), y.u.data().data(),
+                        x.u.data().size_bytes()),
+            0);
+  EXPECT_EQ(x.sigma, y.sigma);
+  EXPECT_EQ(x.iterations, y.iterations);
+  EXPECT_EQ(x.convergence_rate, y.convergence_rate);
+  EXPECT_EQ(x.start_seconds, y.start_seconds);
+  EXPECT_EQ(x.end_seconds, y.end_seconds);
+  EXPECT_EQ(after.batch_seconds, clean.batch_seconds);
+  EXPECT_EQ(after.core_utilization, clean.core_utilization);
+  EXPECT_EQ(after.stats.kernel_invocations - cancelled.kernel_invocations,
+            clean.stats.kernel_invocations);
+  EXPECT_EQ(after.stats.neighbour_transfers - cancelled.neighbour_transfers,
+            clean.stats.neighbour_transfers);
+  EXPECT_EQ(after.stats.dma_transfers - cancelled.dma_transfers,
+            clean.stats.dma_transfers);
+  EXPECT_EQ(after.stats.dma_bytes - cancelled.dma_bytes,
+            clean.stats.dma_bytes);
+  EXPECT_EQ(after.stats.stream_packets - cancelled.stream_packets,
+            clean.stats.stream_packets);
+  EXPECT_EQ(after.stats.stream_bytes - cancelled.stream_bytes,
+            clean.stats.stream_bytes);
 }
 
 }  // namespace

@@ -154,10 +154,6 @@ SvdOptions case_options(const DiffCase& c) {
   SvdOptions opts;
   opts.config = case_config(c.a);
   opts.threads = 1;
-  // Pin the serial baseline to the sequential slot-chain path: kAuto
-  // would pipeline on multi-core CI hosts, and the pipelined mode is a
-  // *subject* of this harness (kOn vs kOff below), not its reference.
-  opts.config->pipeline = accel::PipelineMode::kOff;
   return opts;
 }
 
@@ -323,44 +319,6 @@ TEST(Differential, ShardedS1BitIdenticalToSingleArrayPath) {
   }
 }
 
-// ---- Mode: streaming stage pipeline --------------------------------------
-
-TEST(Differential, PipelinedMatchesReferenceAndSerialBits) {
-  for (std::size_t i = 0; i < cases().size(); ++i) {
-    const DiffCase& c = cases()[i];
-    SvdOptions opts = case_options(c);
-    opts.config->pipeline = accel::PipelineMode::kOn;
-    const Svd r = svd(c.a, opts);
-    check_against_reference(c, r, "pipelined");
-    expect_bit_identical(serial_result(i), r, c.name + " pipelined vs serial");
-  }
-}
-
-// The pipeline's contract is stronger than factor identity: the load
-// stage runs every fabric op in sequential order, so the simulated
-// timeline and the simulator's traffic counters match too.
-TEST(Differential, PipelinedBitIdenticalTimeline) {
-  for (const auto& c : cases()) {
-    SCOPED_TRACE(c.name);
-    accel::HeteroSvdConfig cfg = case_config(c.a);
-    cfg.pipeline = accel::PipelineMode::kOff;
-    accel::HeteroSvdAccelerator sequential(cfg);
-    const accel::RunResult a = sequential.run({c.a});
-    cfg.pipeline = accel::PipelineMode::kOn;
-    accel::HeteroSvdAccelerator pipelined(cfg);
-    const accel::RunResult b = pipelined.run({c.a});
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    EXPECT_TRUE(same_bits(a.tasks[0].u, b.tasks[0].u));
-    EXPECT_TRUE(same_bits(a.tasks[0].sigma, b.tasks[0].sigma));
-    EXPECT_EQ(a.tasks[0].start_seconds, b.tasks[0].start_seconds);
-    EXPECT_EQ(a.tasks[0].end_seconds, b.tasks[0].end_seconds);
-    EXPECT_EQ(a.batch_seconds, b.batch_seconds);
-    EXPECT_EQ(a.stats.kernel_invocations, b.stats.kernel_invocations);
-    EXPECT_EQ(a.stats.dma_bytes, b.stats.dma_bytes);
-    EXPECT_EQ(a.stats.stream_bytes, b.stats.stream_bytes);
-  }
-}
-
 // ---- Mode: SIMD dispatch targets -----------------------------------------
 
 // Factor identity across kernel targets: the AVX2 kernels implement the
@@ -467,12 +425,6 @@ TEST(Differential, HealthyPathsSatisfyVerifierBounds) {
     const DiffCase& c = cases()[i];
     // Serial (the shared baseline result).
     expect_verifier_clean(c, serial_result(i), "serial");
-    // Streaming stage pipeline.
-    {
-      SvdOptions opts = case_options(c);
-      opts.config->pipeline = accel::PipelineMode::kOn;
-      expect_verifier_clean(c, svd(c.a, opts), "pipelined");
-    }
     // Sharded across two arrays.
     {
       SvdOptions opts = case_options(c);
@@ -495,12 +447,12 @@ TEST(Differential, HealthyPathsSatisfyVerifierBounds) {
 // the dense modes above, across the same execution-mode matrix. The
 // inner core's mode knobs propagate through the front-end, and the host
 // assembly stages are deterministic, so every arithmetic-preserving
-// mode (pipelined, sharded, aie pin) must also be bit-identical to the
+// mode (sharded, aie pin) must also be bit-identical to the
 // scenario's serial run. Cases come from the generated case matrix
 // (tests/case_matrix.hpp) so each one reproduces from its printed name.
 const std::vector<std::string>& scenario_modes() {
-  static const std::vector<std::string> modes = {"serial", "pipelined",
-                                                 "sharded", "routed"};
+  static const std::vector<std::string> modes = {"serial", "sharded",
+                                                 "routed"};
   return modes;
 }
 
@@ -515,8 +467,6 @@ SvdOptions scenario_mode_options(const std::string& mode) {
   cfg.p_eng = 4;
   cfg.p_task = 1;
   cfg.iterations = 6;
-  cfg.pipeline =
-      mode == "pipelined" ? accel::PipelineMode::kOn : accel::PipelineMode::kOff;
   opts.config = cfg;
   if (mode == "sharded") opts.shards = 2;
   if (mode == "routed") opts.backend = "aie";

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "accel/accelerator.hpp"
@@ -118,6 +119,65 @@ TEST(FaultRecovery, WithoutRetriesFailuresAreIsolatedBitExactly) {
     EXPECT_EQ(task.sigma, ref.sigma);
     EXPECT_EQ(task.iterations, ref.iterations);
   }
+}
+
+TEST(FaultRecovery, RecoveredHangIsBitIdenticalToTheFaultFreeRun) {
+  // The hang fires on the tile's ninth kernel -- the second sweep, with
+  // the task half done. The batch engine must purge the task's buffers,
+  // mask the tile, re-place and re-run, and the recovered factors must
+  // match the fault-free run bit for bit: the block structure and the
+  // rotation order do not depend on which tiles host them.
+  HeteroSvdConfig cfg = small_config();
+  cfg.p_task = 1;
+  const auto batch = small_batch(1, 907);
+
+  HeteroSvdAccelerator clean(cfg);
+  const RunResult baseline = clean.run(batch);
+
+  HeteroSvdAccelerator acc(cfg);
+  const versal::TileCoord bad = acc.placement().tasks[0].orth.front()[1];
+  versal::FaultPlan plan;
+  plan.faults.push_back(
+      {versal::FaultKind::kTileHang, bad, 0, 8, 0.0, 1.0});
+  versal::FaultInjector injector(plan);
+  acc.attach_faults(&injector);
+
+  const RunResult recovered = acc.run(batch);
+  EXPECT_EQ(injector.event_count(), 1u);
+  ASSERT_EQ(recovered.failed_tasks, 0);
+  EXPECT_EQ(recovered.tasks[0].recovery_attempts, 1);
+  EXPECT_TRUE(same_matrix(recovered.tasks[0].u, baseline.tasks[0].u));
+  EXPECT_EQ(recovered.tasks[0].sigma, baseline.tasks[0].sigma);
+  EXPECT_EQ(recovered.tasks[0].iterations, baseline.tasks[0].iterations);
+}
+
+TEST(FaultRecovery, NonFiniteInputIsBlamedOnTheFirstKernelThatSawIt) {
+  // The facade rejects non-finite input, but the accelerator itself must
+  // still catch it: an Inf element keeps the Gram diagonal nonnegative
+  // but makes the first kernel that touches its column compute the
+  // coherence |Inf|/Inf = NaN. Every column meets a kernel in the first
+  // orth-layer of its block pair, so that layer holds the blamed tile.
+  HeteroSvdConfig cfg = small_config();
+  cfg.p_task = 1;
+  cfg.fault_retries = 0;  // the fault is in the data; retries cannot help
+  auto batch = small_batch(1, 908);
+  batch[0](3, 2) = std::numeric_limits<float>::infinity();
+
+  HeteroSvdAccelerator acc(cfg);
+  const RunResult run = acc.run(batch);
+  ASSERT_EQ(run.failed_tasks, 1);
+  const TaskResult& task = run.tasks[0];
+  EXPECT_EQ(task.status, hsvd::SvdStatus::kFailed);
+  EXPECT_TRUE(task.u.empty());
+  ASSERT_TRUE(task.fault_tile.has_value());
+  const auto& first_layer = acc.placement().tasks[0].orth.front();
+  EXPECT_NE(std::find(first_layer.begin(), first_layer.end(), *task.fault_tile),
+            first_layer.end());
+  EXPECT_NE(task.message.find("non-finite coherence"), std::string::npos)
+      << task.message;
+  EXPECT_NE(task.message.find(versal::to_string(*task.fault_tile)),
+            std::string::npos)
+      << task.message;
 }
 
 TEST(FaultRecovery, ChecksumCatchesInFabricBitFlip) {

@@ -160,7 +160,6 @@ TEST(LongSoak, ScenarioFuzzAcrossSeedsOverTheCaseGrid) {
       cfg.p_eng = 4;
       cfg.p_task = 1;
       cfg.iterations = 6;
-      cfg.pipeline = accel::PipelineMode::kOff;
       opts.config = cfg;
 
       // Tall-skinny pre-reduction wherever rows admit it.

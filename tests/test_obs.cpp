@@ -329,6 +329,27 @@ TEST(TracerExport, AcceleratorRunProducesAllTrackFamilies) {
   EXPECT_TRUE(saw_host);  // pool observer fed batch-chain / task-post spans
 }
 
+TEST(Trace, AcceleratorEndToEndTrace) {
+  accel::HeteroSvdConfig cfg;
+  cfg.rows = cfg.cols = 16;
+  cfg.p_eng = 2;
+  cfg.p_task = 1;
+  cfg.iterations = 1;
+  accel::HeteroSvdAccelerator acc(cfg);
+  ObsContext obs;
+  obs.enable_tracing();
+  acc.attach_observer(&obs);
+  const auto run = acc.estimate(1);
+  EXPECT_GT(obs.tracer()->event_count(), 100u);  // kernels + packets + DMA
+  // Every simulated span ends within the simulated makespan.
+  for (const auto& span : obs.tracer()->spans()) {
+    if (span.domain != Domain::kSim) continue;
+    EXPECT_GE(span.start_s, 0.0) << span.track << " " << span.name;
+    EXPECT_LE(span.start_s + span.duration_s, run.task_seconds * 1.0001)
+        << span.track << " " << span.name;
+  }
+}
+
 // --- utilization accounting ----------------------------------------------
 
 TEST(Utilization, CountersMatchMetricsAndTimelineTotals) {

@@ -204,7 +204,6 @@ TEST(RouterFacade, PinnedAieIsBitIdenticalToTheClassicPath) {
   options.config->p_eng = 4;
   options.config->p_task = 1;
   options.config->iterations = 6;
-  options.config->pipeline = accel::PipelineMode::kOff;
   options.threads = 1;
   const Svd classic = svd(a, options);
 
