@@ -5,11 +5,13 @@
 
 #include "accel/accelerator.hpp"
 #include "accel/dataflow.hpp"
-#include "accel/kernels.hpp"
 #include "common/rng.hpp"
 #include "dse/explorer.hpp"
 #include "jacobi/ordering.hpp"
+#include "jacobi/rotation.hpp"
+#include "jacobi/sweep.hpp"
 #include "linalg/generators.hpp"
+#include "linalg/ops.hpp"
 #include "perfmodel/perf_model.hpp"
 
 namespace {
@@ -26,12 +28,16 @@ void BM_ComputeRotation(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeRotation);
 
+// The orth-AIE pair step: jacobi::rotate_pair on cached column norms.
 void BM_OrthKernel(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   auto a = linalg::random_gaussian(m, 2, rng).cast<float>();
+  float aii = linalg::dot<float>(a.col(0), a.col(0));
+  float ajj = linalg::dot<float>(a.col(1), a.col(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(accel::orth_kernel(a.col(0), a.col(1)));
+    benchmark::DoNotOptimize(
+        jacobi::rotate_pair(a.col(0), a.col(1), aii, ajj));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m));
 }

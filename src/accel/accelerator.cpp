@@ -8,9 +8,8 @@
 #include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "jacobi/block.hpp"
-#include "jacobi/convergence.hpp"
 #include "jacobi/movement.hpp"
-#include "linalg/ops.hpp"
+#include "jacobi/sweep.hpp"
 
 namespace hsvd::accel {
 
@@ -32,6 +31,104 @@ bool key_belongs_to_task(const std::string& key, int task_id) {
 }
 
 }  // namespace
+
+TaskResult TaskResult::failed(const hsvd::FaultDetected& e, double at) {
+  TaskResult task;
+  task.status = hsvd::SvdStatus::kFailed;
+  task.message = e.what();
+  if (e.has_tile()) {
+    task.fault_tile = versal::TileCoord{e.tile_row(), e.tile_col()};
+  }
+  task.start_seconds = at;
+  task.end_seconds = at;
+  return task;
+}
+
+void settle_after_recovery(RunResult& result) {
+  result.failed_tasks = 0;
+  for (const auto& task : result.tasks) {
+    if (task.status == hsvd::SvdStatus::kFailed) ++result.failed_tasks;
+  }
+  if (result.failed_tasks == 0 && result.recovery_runs == 0) return;
+  double makespan = 0.0;
+  int completed = 0;
+  for (const auto& task : result.tasks) {
+    if (task.status == hsvd::SvdStatus::kFailed) continue;
+    makespan = std::max(makespan, task.end_seconds);
+    ++completed;
+  }
+  result.batch_seconds = std::max(result.batch_seconds, makespan);
+  result.throughput_tasks_per_s =
+      result.batch_seconds > 0.0 ? completed / result.batch_seconds : 0.0;
+}
+
+TaskFrame::TaskFrame(const HeteroSvdConfig& config,
+                     const linalg::MatrixF* matrix)
+    : functional_(matrix != nullptr),
+      cols_(config.cols),
+      precision_(config.precision),
+      max_sweeps_(config.precision.has_value() && matrix != nullptr
+                      ? std::max(config.iterations, 30)
+                      : config.iterations),
+      system_(config.precision.value_or(0.0)) {
+  if (!functional_) return;
+  HSVD_REQUIRE(matrix->rows() == config.rows && matrix->cols() == config.cols,
+               "matrix shape does not match the accelerator configuration");
+  b_ = linalg::MatrixF(config.rows, config.padded_cols());
+  b_.assign_cols(0, *matrix);
+  sigma_.resize(config.padded_cols());
+}
+
+void TaskFrame::begin_sweep() {
+  system_.begin_iteration();
+  if (functional_) jacobi::refresh_norms(b_, colnorm_);
+}
+
+bool TaskFrame::end_sweep() {
+  ++sweeps_;
+  if (!functional_) return false;
+  system_.end_iteration();
+  if (system_.should_terminate(precision_.has_value())) return true;
+  // Convergence watchdog: a sweep stream whose off-diagonal coherence has
+  // stopped decreasing will not reach the target; stop burning sweeps and
+  // surface kNotConverged instead.
+  stalled_ = precision_.has_value() && system_.stalled();
+  return stalled_;
+}
+
+void TaskFrame::finish(TaskResult& result) const {
+  result.iterations = sweeps_;
+  result.convergence_rate = system_.convergence_rate();
+  result.watchdog_stalled = stalled_;
+  if (!functional_) return;
+  if (precision_.has_value()) {
+    result.converged = system_.should_terminate(true);
+    if (!result.converged) {
+      result.status = hsvd::SvdStatus::kNotConverged;
+      result.message = stalled_
+                           ? cat("convergence watchdog: coherence stalled at ",
+                                 sci(system_.convergence_rate()), " for ",
+                                 SystemModule::stall_limit(), " sweeps")
+                           : cat("sweep budget exhausted at coherence ",
+                                 sci(system_.convergence_rate()));
+    }
+  }
+  // Sort factors by descending singular value (done on the PS side in the
+  // paper's system; negligible next to the accelerator time). The
+  // zero-padded columns have sigma = 0, sort last, and are truncated.
+  std::vector<std::size_t> order(sigma_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return sigma_[x] > sigma_[y];
+  });
+  result.u = linalg::MatrixF(b_.rows(), cols_);
+  result.sigma.resize(cols_);
+  for (std::size_t t = 0; t < cols_; ++t) {
+    result.sigma[t] = sigma_[order[t]];
+    const auto src = b_.col(order[t]);
+    std::copy(src.begin(), src.end(), result.u.col(t).begin());
+  }
+}
 
 HeteroSvdAccelerator::HeteroSvdAccelerator(const HeteroSvdConfig& config)
     : config_(config),
@@ -58,7 +155,6 @@ void HeteroSvdAccelerator::rebuild() {
   array_->attach_faults(faults_);
   array_->attach_observer(obs_);
 
-  schedule_ = jacobi::EngineSchedule{};
   slot_schedules_.clear();
   dataflows_.clear();
   channels_.clear();
@@ -76,7 +172,6 @@ void HeteroSvdAccelerator::rebuild() {
                                         config_.relocated_outputs
                                             ? MemoryStrategy::kRelocated
                                             : MemoryStrategy::kNaive));
-    if (schedule_.empty()) schedule_ = schedule;
     slot_schedules_.push_back(std::move(schedule));
   }
   block_rounds_ = jacobi::block_pair_rounds(config_.blocks());
@@ -261,7 +356,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                   "transit)"),
               tile.row, tile.col, end);
         }
-        const auto r = orth_kernel(
+        const auto r = jacobi::rotate_pair(
             b->col(static_cast<std::size_t>(gl)),
             b->col(static_cast<std::size_t>(gr)),
             (*colnorm)[static_cast<std::size_t>(gl)],
@@ -409,33 +504,13 @@ double HeteroSvdAccelerator::execute_norm_block(
 TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
                                               const linalg::MatrixF* matrix,
                                               int task_id) {
-  const bool functional = matrix != nullptr;
-  const int k = config_.p_eng;
   const int p = config_.blocks();
-  const std::size_t m = config_.rows;
-
-  const double col_bytes = static_cast<double>(m) * sizeof(float);
-  const double block_bytes = col_bytes * k;
+  const double block_bytes =
+      static_cast<double>(config_.rows) * sizeof(float) * config_.p_eng;
 
   TaskResult result;
   result.start_seconds = ready;
-
-  const std::size_t n_pad = config_.padded_cols();
-  linalg::MatrixF b;
-  // Incremental Gram-norm cache for the orth kernels: one entry per
-  // padded column, refreshed at each iteration start and updated by the
-  // rotation closed form in between, so each pair visit costs a single
-  // O(rows) dot.
-  std::vector<float> colnorm;
-  if (functional) {
-    HSVD_REQUIRE(matrix->rows() == m && matrix->cols() == config_.cols,
-                 "matrix shape does not match the accelerator configuration");
-    // Zero-pad to a whole number of blocks; zero columns are fixed points
-    // of the Jacobi rotations and drop out after normalization.
-    b = linalg::MatrixF(m, n_pad);
-    b.assign_cols(0, *matrix);
-    colnorm.resize(n_pad);
-  }
+  TaskFrame frame(config_, matrix);
 
   // Stage DDR -> PL URAM buffers, one block at a time (eq. (12)), via
   // the NoC DDRMC port wired to this task slot.
@@ -446,14 +521,7 @@ TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
       p, block_bytes);
   arrangement.stage_from_ddr(ready);
 
-  SystemModule system(config_.precision.value_or(0.0));
-  const int max_iters =
-      config_.precision.has_value() && functional
-          ? std::max(config_.iterations, 30)
-          : config_.iterations;
-
-  int iterations_run = 0;
-  for (int iter = 0; iter < max_iters; ++iter) {
+  for (int iter = 0; iter < frame.max_sweeps(); ++iter) {
     // Sweep-barrier cancellation point: a deadline or a preemption
     // cancel lands between sweeps, where no rotation is in flight, and
     // the purge leaves the fabric as if the task never ran. The task
@@ -464,47 +532,28 @@ TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
           cat(cancel_->cancelled() ? "cancelled" : "deadline expired",
               " at sweep barrier ", iter, " of task ", task_id));
     }
-    system.begin_iteration();
-    if (functional) {
-      for (std::size_t gc = 0; gc < n_pad; ++gc) {
-        auto col = b.col(gc);
-        colnorm[gc] = linalg::dot<float>(col, col);
-      }
-    }
+    frame.begin_sweep();
     for (const auto& round : block_rounds_) {
       for (const auto& [bu, bv] : round) {
         const double launch = std::max(arrangement.block_ready(bu),
                                        arrangement.block_ready(bv)) +
                               hls_overhead_s_;
-        const PairCompletion done = execute_block_pair(
-            slot, task_id, bu, bv, launch, functional ? &b : nullptr,
-            functional ? &colnorm : nullptr, system);
+        const PairCompletion done =
+            execute_block_pair(slot, task_id, bu, bv, launch, frame.b(),
+                               frame.colnorm(), frame.system());
         arrangement.set_block_ready(bu, done.done_u);
         arrangement.set_block_ready(bv, done.done_v);
       }
     }
-    ++iterations_run;
-    if (functional) {
-      system.end_iteration();
-      if (system.should_terminate(config_.precision.has_value())) break;
-      // Convergence watchdog: a sweep stream whose off-diagonal coherence
-      // has stopped decreasing will not reach the target; stop burning
-      // sweeps and surface kNotConverged instead.
-      if (config_.precision.has_value() && system.stalled()) {
-        result.watchdog_stalled = true;
-        break;
-      }
-    }
+    if (frame.end_sweep()) break;
   }
 
   // ---- Normalization stage (lines 19-25 of Algorithm 1) ----------------
   double task_end = 0.0;
-  std::vector<float> sigma;
-  if (functional) sigma.resize(n_pad);
   for (int blk = 0; blk < p; ++blk) {
     const double blk_done = execute_norm_block(
-        slot, blk, arrangement.block_ready(blk) + hls_overhead_s_,
-        functional ? &b : nullptr, functional ? &sigma : nullptr);
+        slot, blk, arrangement.block_ready(blk) + hls_overhead_s_, frame.b(),
+        frame.sigma());
     task_end = std::max(task_end, blk_done);
   }
 
@@ -517,38 +566,7 @@ TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
                result.end_seconds - result.start_seconds);
     }
   }
-  result.iterations = iterations_run;
-  result.convergence_rate = system.convergence_rate();
-  if (functional && config_.precision.has_value()) {
-    result.converged = system.should_terminate(true);
-    if (!result.converged) result.status = hsvd::SvdStatus::kNotConverged;
-    if (!result.converged) {
-      result.message = result.watchdog_stalled
-                           ? cat("convergence watchdog: coherence stalled at ",
-                                 sci(system.convergence_rate()), " for ",
-                                 SystemModule::stall_limit(), " sweeps")
-                           : cat("sweep budget exhausted at coherence ",
-                                 sci(system.convergence_rate()));
-    }
-  }
-  if (functional) {
-    // Sort factors by descending singular value (done on the PS side in
-    // the paper's system; negligible next to the accelerator time). The
-    // zero-padded columns have sigma = 0, sort last, and are truncated.
-    std::vector<std::size_t> order(n_pad);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-      return sigma[x] > sigma[y];
-    });
-    result.u = linalg::MatrixF(m, config_.cols);
-    result.sigma.resize(config_.cols);
-    for (std::size_t t = 0; t < config_.cols; ++t) {
-      result.sigma[t] = sigma[order[t]];
-      auto src = b.col(order[t]);
-      auto dst = result.u.col(t);
-      for (std::size_t r = 0; r < m; ++r) dst[r] = src[r];
-    }
-  }
+  frame.finish(result);
   return result;
 }
 
@@ -589,14 +607,7 @@ RunResult HeteroSvdAccelerator::execute_batch(
       task = execute_task(slot, slot_free, matrix, base_id + t);
       slot_free = task.end_seconds;
     } catch (const hsvd::FaultDetected& e) {
-      task = TaskResult{};
-      task.status = hsvd::SvdStatus::kFailed;
-      task.message = e.what();
-      if (e.has_tile()) {
-        task.fault_tile = versal::TileCoord{e.tile_row(), e.tile_col()};
-      }
-      task.start_seconds = slot_free;
-      task.end_seconds = slot_free;
+      task = TaskResult::failed(e, slot_free);
       purge_task_buffers(slot, base_id + t);
       if (obs_ != nullptr) {
         obs_->metrics().add("sim.fault.detected");
@@ -777,33 +788,9 @@ RunResult HeteroSvdAccelerator::run(const std::vector<linalg::MatrixF>& batch) {
       result.tasks[failed[j]] = std::move(task);
     }
     epoch += retry.batch_seconds;
-    result.stats.neighbour_transfers += retry.stats.neighbour_transfers;
-    result.stats.dma_transfers += retry.stats.dma_transfers;
-    result.stats.dma_bytes += retry.stats.dma_bytes;
-    result.stats.stream_packets += retry.stats.stream_packets;
-    result.stats.stream_bytes += retry.stats.stream_bytes;
-    result.stats.kernel_invocations += retry.stats.kernel_invocations;
+    result.stats += retry.stats;
   }
-
-  result.failed_tasks = 0;
-  for (const auto& task : result.tasks) {
-    if (task.status == hsvd::SvdStatus::kFailed) ++result.failed_tasks;
-  }
-  if (result.failed_tasks > 0 || result.recovery_runs > 0) {
-    // Re-derive the aggregates over the merged task set; a fault-free
-    // run never reaches this path, keeping its numbers bit-identical to
-    // the pre-recovery code.
-    double makespan = 0.0;
-    int completed = 0;
-    for (const auto& task : result.tasks) {
-      if (task.status == hsvd::SvdStatus::kFailed) continue;
-      makespan = std::max(makespan, task.end_seconds);
-      ++completed;
-    }
-    result.batch_seconds = std::max(result.batch_seconds, makespan);
-    result.throughput_tasks_per_s =
-        result.batch_seconds > 0.0 ? completed / result.batch_seconds : 0.0;
-  }
+  settle_after_recovery(result);
   return result;
 }
 

@@ -51,6 +51,9 @@ struct TaskResult {
   int recovery_attempts = 0;
   bool ok() const { return status != hsvd::SvdStatus::kFailed; }
   double latency_seconds() const { return end_seconds - start_seconds; }
+  // The kFailed result of a task whose detection point fired while its
+  // slot was free at `at`.
+  static TaskResult failed(const hsvd::FaultDetected& e, double at);
 };
 
 struct RunResult {
@@ -69,6 +72,56 @@ struct RunResult {
   // not merged). utilization.core_utilization() equals core_utilization
   // for fault-free runs.
   versal::UtilizationReport utilization;
+};
+
+// Re-derives failed_tasks, and after any failure or recovery round the
+// makespan and throughput over the tasks that completed. A fault-free run
+// keeps its numbers untouched.
+void settle_after_recovery(RunResult& result);
+
+// The per-task state every task loop shares (single-array and sharded):
+// the input zero-padded to whole blocks (zero columns are fixed points of
+// the rotations and drop out after normalization), its Gram-norm cache,
+// the SystemModule that decides when to leave the orthogonalization
+// stage, and the sort-and-truncate of the normalized factors. In
+// timing-only mode (no matrix) the data accessors return null and only
+// the sweep count is tracked.
+class TaskFrame {
+ public:
+  TaskFrame(const HeteroSvdConfig& config, const linalg::MatrixF* matrix);
+
+  linalg::MatrixF* b() { return functional_ ? &b_ : nullptr; }
+  std::vector<float>* colnorm() { return functional_ ? &colnorm_ : nullptr; }
+  std::vector<float>* sigma() { return functional_ ? &sigma_ : nullptr; }
+  SystemModule& system() { return system_; }
+  // Sweep cap: the fixed iteration count, raised to 30 when a precision
+  // target decides termination.
+  int max_sweeps() const { return max_sweeps_; }
+
+  // Opens a sweep: clears its coherence maximum and refreshes the norm
+  // cache from the columns, bounding float drift to one sweep.
+  void begin_sweep();
+  // Closes a sweep. True when the task leaves the orthogonalization
+  // stage: the precision target is met, or the convergence watchdog saw
+  // the coherence stall.
+  bool end_sweep();
+  // Fills the sweep count and convergence outcome (kNotConverged with its
+  // diagnostic when the precision target was missed) and, in functional
+  // mode, the factors sorted by descending sigma and truncated to the
+  // input's columns. Expects sigma() filled by the normalization stage.
+  void finish(TaskResult& result) const;
+
+ private:
+  bool functional_;
+  std::size_t cols_;
+  std::optional<double> precision_;
+  int max_sweeps_;
+  int sweeps_ = 0;
+  bool stalled_ = false;
+  SystemModule system_;
+  linalg::MatrixF b_;
+  std::vector<float> colnorm_;
+  std::vector<float> sigma_;
 };
 
 class HeteroSvdAccelerator {
@@ -212,7 +265,6 @@ class HeteroSvdAccelerator {
   perf::AieKernelModel kernels_;
   perf::PlioModel plio_model_;
   std::unique_ptr<versal::AieArraySim> array_;
-  jacobi::EngineSchedule schedule_;                     // slot 0's schedule
   std::vector<jacobi::EngineSchedule> slot_schedules_;  // per task slot
   std::vector<DataflowPlan> dataflows_;                 // per task slot
   int next_task_id_ = 0;

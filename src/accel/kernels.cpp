@@ -1,40 +1,8 @@
 #include "accel/kernels.hpp"
 
-#include <cmath>
-
 #include "linalg/ops.hpp"
 
 namespace hsvd::accel {
-
-OrthKernelResult orth_kernel(std::span<float> left, std::span<float> right) {
-  const auto gram = linalg::dot3<float>(left, right);
-  OrthKernelResult out;
-  out.coherence = jacobi::pair_coherence(gram.aii, gram.ajj, gram.aij);
-  const auto rot = jacobi::compute_rotation(gram.aii, gram.ajj, gram.aij);
-  if (!rot.identity) {
-    linalg::apply_rotation(left, right, rot.c, rot.s);
-    out.rotated = true;
-  }
-  return out;
-}
-
-OrthKernelResult orth_kernel(std::span<float> left, std::span<float> right,
-                             float& aii, float& ajj) {
-  const float aij = linalg::dot<float>(left, right);
-  OrthKernelResult out;
-  out.coherence = jacobi::pair_coherence(aii, ajj, aij);
-  const auto rot = jacobi::compute_rotation(aii, ajj, aij);
-  if (!rot.identity) {
-    linalg::apply_rotation(left, right, rot.c, rot.s);
-    linalg::rotated_norms(aii, ajj, aij, rot.c, rot.s, aii, ajj);
-    // Cancellation noise from a dominant pair can leave a tracked norm
-    // negative; refresh from the column (see hestenes.cpp).
-    if (!(aii > 0.0f)) aii = linalg::dot<float>(left, left);
-    if (!(ajj > 0.0f)) ajj = linalg::dot<float>(right, right);
-    out.rotated = true;
-  }
-  return out;
-}
 
 NormKernelResult norm_kernel(std::span<float> column) {
   NormKernelResult out;

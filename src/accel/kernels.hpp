@@ -1,33 +1,13 @@
-// Functional AIE kernels: the arithmetic that runs on orth-AIEs and
-// norm-AIEs. Shared by the accelerator's functional path; timing comes
-// from perf::AieKernelModel so the simulator and the analytic model agree
-// on per-kernel cost by construction.
+// Functional AIE kernels: the arithmetic that runs on norm-AIEs. The
+// orth-AIEs run the host's own pair kernel, jacobi::rotate_pair
+// (jacobi/sweep.hpp), so fabric and host sweeps share one pair step.
+// Timing comes from perf::AieKernelModel so the simulator and the
+// analytic model agree on per-kernel cost by construction.
 #pragma once
 
 #include <span>
-#include <vector>
-
-#include "jacobi/rotation.hpp"
 
 namespace hsvd::accel {
-
-struct OrthKernelResult {
-  double coherence = 0.0;  // eq. (6) measure of the pair before rotation
-  bool rotated = false;
-};
-
-// Orthogonalizes the column pair in place (lines 9-12 of Algorithm 1):
-// fused Gram dot products (one traversal for aii/ajj/aij), rotation
-// closed form, update.
-OrthKernelResult orth_kernel(std::span<float> left, std::span<float> right);
-
-// Cached-norm variant: `aii` / `ajj` carry the squared column norms in
-// and are updated in place from the rotation closed form, so only the
-// off-diagonal dot touches the column data. This is the accelerator's
-// per-task Gram cache (the host analogue of keeping the diagonal in the
-// orth-AIE's registers across visits).
-OrthKernelResult orth_kernel(std::span<float> left, std::span<float> right,
-                             float& aii, float& ajj);
 
 struct NormKernelResult {
   float sigma = 0.0f;

@@ -1,14 +1,11 @@
 #include "accel/sharded.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <optional>
 
 #include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "jacobi/movement.hpp"
-#include "linalg/ops.hpp"
 #include "perfmodel/resource_model.hpp"
 #include "shard/merge.hpp"
 
@@ -61,28 +58,15 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
                                             const linalg::MatrixF* matrix,
                                             int task_id, int* fault_shard) {
   const HeteroSvdConfig& cfg = config();
-  const bool functional = matrix != nullptr;
-  const int k = cfg.p_eng;
   const int p = cfg.blocks();
   const int s_count = shards();
-  const std::size_t m = cfg.rows;
-  const double col_bytes = static_cast<double>(m) * sizeof(float);
-  const double block_bytes = col_bytes * k;
+  const double block_bytes =
+      static_cast<double>(cfg.rows) * sizeof(float) * cfg.p_eng;
   const double hls = arrays_.front()->hls_overhead_seconds();
 
   TaskResult result;
   result.start_seconds = ready_at;
-
-  const std::size_t n_pad = cfg.padded_cols();
-  linalg::MatrixF b;
-  std::vector<float> colnorm;
-  if (functional) {
-    HSVD_REQUIRE(matrix->rows() == m && matrix->cols() == cfg.cols,
-                 "matrix shape does not match the accelerator configuration");
-    b = linalg::MatrixF(m, n_pad);
-    b.assign_cols(0, *matrix);
-    colnorm.resize(n_pad);
-  }
+  TaskFrame frame(cfg, matrix);
 
   // Round-0 occupancy of the block ring defines each block's home shard:
   // that is where its DDR staging lands and where it sits again after
@@ -106,10 +90,6 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
                                                              block_bytes);
   }
 
-  SystemModule master(cfg.precision.value_or(0.0));
-  const int max_iters = cfg.precision.has_value() && functional
-                            ? std::max(cfg.iterations, 30)
-                            : cfg.iterations;
   const std::size_t round_count = block_schedule_.size();
   const bool parallel = fanout_parallel();
 
@@ -120,15 +100,8 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
     int bv;
   };
 
-  int iterations_run = 0;
-  for (int iter = 0; iter < max_iters; ++iter) {
-    master.begin_iteration();
-    if (functional) {
-      for (std::size_t gc = 0; gc < n_pad; ++gc) {
-        auto col = b.col(gc);
-        colnorm[gc] = linalg::dot<float>(col, col);
-      }
-    }
+  for (int iter = 0; iter < frame.max_sweeps(); ++iter) {
+    frame.begin_sweep();
     // Per-shard convergence observers for this sweep; folded into the
     // master at the sweep barrier (the sweep max of the union is the max
     // of the per-shard maxima, so the merge is order-independent).
@@ -164,8 +137,8 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
                          ready[static_cast<std::size_t>(sp.bv)]) +
                 hls;
             completions[sp.site] = arrays_[s]->execute_block_pair(
-                0, task_id, sp.bu, sp.bv, launch, functional ? &b : nullptr,
-                functional ? &colnorm : nullptr, sysmods[s]);
+                0, task_id, sp.bu, sp.bv, launch, frame.b(), frame.colnorm(),
+                sysmods[s]);
           }
         } catch (const hsvd::FaultDetected& e) {
           faults[s] = e;
@@ -209,21 +182,11 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
         block_shard[blk] = mv.to_shard;
       }
     }
-    ++iterations_run;
-    if (functional) {
-      for (const auto& sm : sysmods) master.merge_sweep(sm);
-      master.end_iteration();
-      if (master.should_terminate(cfg.precision.has_value())) break;
-      if (cfg.precision.has_value() && master.stalled()) {
-        result.watchdog_stalled = true;
-        break;
-      }
-    }
+    for (const auto& sm : sysmods) frame.system().merge_sweep(sm);
+    if (frame.end_sweep()) break;
   }
 
   // ---- Normalization stage, distributed over the home shards ----------
-  std::vector<float> sigma;
-  if (functional) sigma.resize(n_pad);
   std::vector<std::vector<int>> norm_blocks(static_cast<std::size_t>(s_count));
   for (int blk = 0; blk < p; ++blk) {
     norm_blocks[static_cast<std::size_t>(block_shard[static_cast<std::size_t>(blk)])]
@@ -236,8 +199,8 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
     try {
       for (int blk : norm_blocks[s]) {
         const double done = arrays_[s]->execute_norm_block(
-            0, blk, ready[static_cast<std::size_t>(blk)] + hls,
-            functional ? &b : nullptr, functional ? &sigma : nullptr);
+            0, blk, ready[static_cast<std::size_t>(blk)] + hls, frame.b(),
+            frame.sigma());
         norm_done[s] = std::max(norm_done[s], done);
       }
     } catch (const hsvd::FaultDetected& e) {
@@ -263,36 +226,7 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
   result.end_seconds =
       *std::max_element(norm_done.begin(), norm_done.end());
 
-  result.iterations = iterations_run;
-  result.convergence_rate = master.convergence_rate();
-  if (functional && cfg.precision.has_value()) {
-    result.converged = master.should_terminate(true);
-    if (!result.converged) result.status = hsvd::SvdStatus::kNotConverged;
-    if (!result.converged) {
-      result.message = result.watchdog_stalled
-                           ? cat("convergence watchdog: coherence stalled at ",
-                                 sci(master.convergence_rate()), " for ",
-                                 SystemModule::stall_limit(), " sweeps")
-                           : cat("sweep budget exhausted at coherence ",
-                                 sci(master.convergence_rate()));
-    }
-  }
-  if (functional) {
-    std::vector<std::size_t> order(n_pad);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t x, std::size_t y) {
-                       return sigma[x] > sigma[y];
-                     });
-    result.u = linalg::MatrixF(m, cfg.cols);
-    result.sigma.resize(cfg.cols);
-    for (std::size_t t = 0; t < cfg.cols; ++t) {
-      result.sigma[t] = sigma[order[t]];
-      auto src = b.col(order[t]);
-      auto dst = result.u.col(t);
-      for (std::size_t r = 0; r < m; ++r) dst[r] = src[r];
-    }
-  }
+  frame.finish(result);
   return result;
 }
 
@@ -330,14 +264,7 @@ RunResult ShardedAccelerator::execute_batch(
       task = execute_task(free_at, matrix, base_id + t, &fault_shard);
       free_at = task.end_seconds;
     } catch (const hsvd::FaultDetected& e) {
-      task = TaskResult{};
-      task.status = hsvd::SvdStatus::kFailed;
-      task.message = e.what();
-      if (e.has_tile()) {
-        task.fault_tile = versal::TileCoord{e.tile_row(), e.tile_col()};
-      }
-      task.start_seconds = free_at;
-      task.end_seconds = free_at;
+      task = TaskResult::failed(e, free_at);
       // The failed task left column buffers on every shard's tiles.
       for (auto& a : arrays_) a->purge_task_buffers(0, base_id + t);
       if (obs_ != nullptr) obs_->metrics().add("sim.fault.detected");
@@ -448,30 +375,9 @@ RunResult ShardedAccelerator::run(const std::vector<linalg::MatrixF>& batch) {
       fault_shards[failed[j]] = retry_fault_shards[j];
     }
     epoch += retry.batch_seconds;
-    result.stats.neighbour_transfers += retry.stats.neighbour_transfers;
-    result.stats.dma_transfers += retry.stats.dma_transfers;
-    result.stats.dma_bytes += retry.stats.dma_bytes;
-    result.stats.stream_packets += retry.stats.stream_packets;
-    result.stats.stream_bytes += retry.stats.stream_bytes;
-    result.stats.kernel_invocations += retry.stats.kernel_invocations;
+    result.stats += retry.stats;
   }
-
-  result.failed_tasks = 0;
-  for (const auto& task : result.tasks) {
-    if (task.status == hsvd::SvdStatus::kFailed) ++result.failed_tasks;
-  }
-  if (result.failed_tasks > 0 || result.recovery_runs > 0) {
-    double makespan = 0.0;
-    int completed = 0;
-    for (const auto& task : result.tasks) {
-      if (task.status == hsvd::SvdStatus::kFailed) continue;
-      makespan = std::max(makespan, task.end_seconds);
-      ++completed;
-    }
-    result.batch_seconds = std::max(result.batch_seconds, makespan);
-    result.throughput_tasks_per_s =
-        result.batch_seconds > 0.0 ? completed / result.batch_seconds : 0.0;
-  }
+  settle_after_recovery(result);
   return result;
 }
 

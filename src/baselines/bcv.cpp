@@ -3,11 +3,6 @@
 #include <numeric>
 #include <utility>
 
-#include "jacobi/convergence.hpp"
-#include "jacobi/normalization.hpp"
-#include "jacobi/rotation.hpp"
-#include "linalg/ops.hpp"
-
 namespace hsvd::baselines {
 
 std::vector<std::vector<std::pair<int, int>>> bcv_rounds(int columns) {
@@ -22,58 +17,34 @@ std::vector<std::vector<std::pair<int, int>>> bcv_rounds(int columns) {
   return rounds;
 }
 
+jacobi::PairSequence bcv_sequence(int columns) {
+  const auto rounds = bcv_rounds(columns);
+  // Position permutation: pos[i] = column currently at array position i.
+  std::vector<int> pos(static_cast<std::size_t>(columns));
+  std::iota(pos.begin(), pos.end(), 0);
+  jacobi::PairSequence seq;
+  seq.sweeps.resize(2);
+  for (auto& visits : seq.sweeps) {
+    for (const auto& round : rounds) {
+      for (const auto& [pi, pj] : round) {
+        auto& ci = pos[static_cast<std::size_t>(pi)];
+        auto& cj = pos[static_cast<std::size_t>(pj)];
+        visits.push_back({ci, cj});
+        // The transposition: the two columns swap physical positions
+        // unconditionally.
+        std::swap(ci, cj);
+      }
+    }
+  }
+  return seq;
+}
+
 jacobi::HestenesResult bcv_svd(const linalg::MatrixF& a, const BcvOptions& opts) {
   HSVD_REQUIRE(a.rows() >= a.cols(), "bcv_svd expects rows >= cols");
   HSVD_REQUIRE(a.cols() >= 2, "need at least two columns");
-  const int n = static_cast<int>(a.cols());
-  const auto rounds = bcv_rounds(n);
-
-  linalg::MatrixF b = a;
-  linalg::MatrixF v = linalg::MatrixF::identity(static_cast<std::size_t>(n));
-  // Position permutation: pos[i] = column currently at array position i.
-  std::vector<int> pos(static_cast<std::size_t>(n));
-  std::iota(pos.begin(), pos.end(), 0);
-
-  jacobi::ConvergenceTracker tracker(opts.precision);
-  const int budget = opts.fixed_sweeps.value_or(opts.max_sweeps);
-  HSVD_REQUIRE(budget >= 1, "sweep budget must be positive");
-
-  int sweep = 0;
-  for (; sweep < budget; ++sweep) {
-    tracker.begin_sweep();
-    for (const auto& round : rounds) {
-      for (const auto& [pi, pj] : round) {
-        const auto ci = static_cast<std::size_t>(pos[static_cast<std::size_t>(pi)]);
-        const auto cj = static_cast<std::size_t>(pos[static_cast<std::size_t>(pj)]);
-        auto bi = b.col(ci);
-        auto bj = b.col(cj);
-        const float aij = linalg::dot<float>(bi, bj);
-        const float aii = linalg::dot<float>(bi, bi);
-        const float ajj = linalg::dot<float>(bj, bj);
-        tracker.observe(jacobi::pair_coherence(aii, ajj, aij));
-        const auto rot = jacobi::compute_rotation(aii, ajj, aij);
-        if (!rot.identity) {
-          linalg::apply_rotation(bi, bj, rot.c, rot.s);
-          linalg::apply_rotation(v.col(ci), v.col(cj), rot.c, rot.s);
-        }
-        // The transposition that carries every column across the array:
-        // the two columns swap physical positions unconditionally.
-        std::swap(pos[static_cast<std::size_t>(pi)],
-                  pos[static_cast<std::size_t>(pj)]);
-      }
-    }
-    if (!opts.fixed_sweeps.has_value() && tracker.converged()) {
-      ++sweep;
-      break;
-    }
-  }
-
-  jacobi::HestenesResult out;
-  out.sweeps = sweep;
-  out.final_convergence_rate = tracker.sweep_rate();
-  out.converged = tracker.converged();
-  jacobi::normalize_in_place(b, v, true, out.u, out.sigma, out.v);
-  return out;
+  return jacobi::sweep_svd(a, true, bcv_sequence(static_cast<int>(a.cols())),
+                           {opts.precision, 0.0, opts.max_sweeps,
+                            opts.fixed_sweeps});
 }
 
 }  // namespace hsvd::baselines

@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "jacobi/convergence.hpp"
-#include "jacobi/normalization.hpp"
-#include "jacobi/rotation.hpp"
-#include "linalg/ops.hpp"
-
 namespace hsvd::jacobi {
 
 std::vector<std::vector<std::pair<int, int>>> block_pair_rounds(int blocks) {
@@ -33,108 +28,39 @@ std::vector<std::vector<std::pair<int, int>>> block_pair_rounds(int blocks) {
   return rounds;
 }
 
-namespace {
-
-// One tournament sweep over the 2k columns listed in `cols`, applied to b
-// (and v). Reports pair coherences into `tracker`.
-void orthogonalize_column_set(linalg::MatrixF& b, linalg::MatrixF& v,
-                              bool with_v, const std::vector<int>& cols,
-                              const EngineSchedule& schedule,
-                              ConvergenceTracker& tracker,
-                              float rotation_threshold) {
-  for (const auto& round : schedule) {
-    for (const auto& pair : round) {
-      const auto ci = static_cast<std::size_t>(cols[static_cast<std::size_t>(pair.left)]);
-      const auto cj = static_cast<std::size_t>(cols[static_cast<std::size_t>(pair.right)]);
-      auto bi = b.col(ci);
-      auto bj = b.col(cj);
-      const float aij = linalg::dot<float>(bi, bj);
-      const float aii = linalg::dot<float>(bi, bi);
-      const float ajj = linalg::dot<float>(bj, bj);
-      tracker.observe(pair_coherence(aii, ajj, aij));
-      const Rotation<float> rot =
-          compute_rotation(aii, ajj, aij, rotation_threshold);
-      if (rot.identity) continue;
-      linalg::apply_rotation(bi, bj, rot.c, rot.s);
-      if (with_v) linalg::apply_rotation(v.col(ci), v.col(cj), rot.c, rot.s);
+PairSequence block_sequence(OrderingKind ordering, int columns,
+                            int block_cols) {
+  HSVD_REQUIRE(block_cols >= 1, "block width must be positive");
+  HSVD_REQUIRE(columns % block_cols == 0,
+               "column count must be a multiple of block width");
+  const int k = block_cols;
+  const int p = columns / k;
+  if (p == 1) return hestenes_sequence(ordering, columns);
+  const std::vector<ColumnPair> local = flatten(make_schedule(ordering, 2 * k));
+  // Local column c of a block pair (u, v): block u's columns, then v's.
+  const auto global = [k](int c, int bu, int bv) {
+    return c < k ? bu * k + c : bv * k + (c - k);
+  };
+  std::vector<ColumnPair> visits;
+  for (const auto& round : block_pair_rounds(p)) {
+    for (const auto& [bu, bv] : round) {
+      for (const ColumnPair& pair : local) {
+        visits.push_back(
+            {global(pair.left, bu, bv), global(pair.right, bu, bv)});
+      }
     }
   }
+  return PairSequence{{std::move(visits)}};
 }
-
-}  // namespace
 
 HestenesResult block_hestenes_svd(const linalg::MatrixF& a,
                                   const BlockOptions& opts) {
   HSVD_REQUIRE(a.rows() >= a.cols(), "block_hestenes_svd expects rows >= cols");
-  HSVD_REQUIRE(opts.block_cols >= 1, "block width must be positive");
-  HSVD_REQUIRE(a.cols() % static_cast<std::size_t>(opts.block_cols) == 0,
-               "column count must be a multiple of block width");
-  const int n = static_cast<int>(a.cols());
-  const int k = opts.block_cols;
-  const int p = n / k;
-
-  linalg::MatrixF b = a;
-  linalg::MatrixF v;
-  if (opts.accumulate_v) v = linalg::MatrixF::identity(static_cast<std::size_t>(n));
-
-  HestenesResult out;
-  const int sweep_budget = opts.fixed_sweeps.value_or(opts.max_sweeps);
-  HSVD_REQUIRE(sweep_budget >= 1, "sweep budget must be positive");
-
-  ConvergenceTracker tracker(opts.precision);
-
-  if (p == 1) {
-    // Single block: degenerate to plain Hestenes over n columns.
-    HSVD_REQUIRE(n % 2 == 0, "single-block case needs an even column count");
-    const EngineSchedule schedule = make_schedule(opts.ordering, n);
-    std::vector<int> cols(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) cols[static_cast<std::size_t>(i)] = i;
-    int sweep = 0;
-    for (; sweep < sweep_budget; ++sweep) {
-      tracker.begin_sweep();
-      orthogonalize_column_set(b, v, opts.accumulate_v, cols, schedule, tracker,
-                               static_cast<float>(opts.rotation_threshold));
-      if (!opts.fixed_sweeps.has_value() && tracker.converged()) {
-        ++sweep;
-        break;
-      }
-    }
-    out.sweeps = sweep;
-  } else {
-    const EngineSchedule schedule = make_schedule(opts.ordering, 2 * k);
-    const auto rounds = block_pair_rounds(p);
-    int sweep = 0;
-    for (; sweep < sweep_budget; ++sweep) {
-      tracker.begin_sweep();
-      for (const auto& round : rounds) {
-        for (const auto& [bu, bv] : round) {
-          std::vector<int> cols(static_cast<std::size_t>(2 * k));
-          for (int i = 0; i < k; ++i) {
-            cols[static_cast<std::size_t>(i)] = bu * k + i;
-            cols[static_cast<std::size_t>(k + i)] = bv * k + i;
-          }
-          // Per-block-pair convergence (Algorithm 1 line 10) merged into
-          // the sweep tracker (line 15).
-          ConvergenceTracker pair_tracker(opts.precision);
-          pair_tracker.begin_sweep();
-          orthogonalize_column_set(b, v, opts.accumulate_v, cols, schedule,
-                                   pair_tracker,
-                                   static_cast<float>(opts.rotation_threshold));
-          tracker.merge(pair_tracker);
-        }
-      }
-      if (!opts.fixed_sweeps.has_value() && tracker.converged()) {
-        ++sweep;
-        break;
-      }
-    }
-    out.sweeps = sweep;
-  }
-
-  out.final_convergence_rate = tracker.sweep_rate();
-  out.converged = tracker.converged();
-  normalize_in_place(b, v, opts.accumulate_v, out.u, out.sigma, out.v);
-  return out;
+  return sweep_svd(a, opts.accumulate_v,
+                   block_sequence(opts.ordering, static_cast<int>(a.cols()),
+                                  opts.block_cols),
+                   {opts.precision, opts.rotation_threshold, opts.max_sweeps,
+                    opts.fixed_sweeps});
 }
 
 }  // namespace hsvd::jacobi

@@ -1,96 +1,19 @@
 #include "jacobi/hestenes.hpp"
 
-#include <algorithm>
-#include <numeric>
-
-#include "jacobi/convergence.hpp"
-#include "jacobi/normalization.hpp"
-#include "jacobi/rotation.hpp"
-#include "linalg/ops.hpp"
-
 namespace hsvd::jacobi {
+
+PairSequence hestenes_sequence(OrderingKind ordering, int columns) {
+  return PairSequence{{flatten(make_schedule(ordering, columns))}};
+}
 
 HestenesResult hestenes_svd(const linalg::MatrixF& a, const HestenesOptions& opts) {
   HSVD_REQUIRE(a.rows() >= a.cols(), "hestenes_svd expects rows >= cols");
   HSVD_REQUIRE(a.cols() >= 2 && a.cols() % 2 == 0,
                "hestenes_svd expects an even column count >= 2");
-  const int n = static_cast<int>(a.cols());
-  const EngineSchedule schedule = make_schedule(opts.ordering, n);
-
-  linalg::MatrixF b = a;
-  linalg::MatrixF v;
-  if (opts.accumulate_v) v = linalg::MatrixF::identity(static_cast<std::size_t>(n));
-
-  ConvergenceTracker tracker(opts.precision);
-  const int sweep_budget = opts.fixed_sweeps.value_or(opts.max_sweeps);
-  HSVD_REQUIRE(sweep_budget >= 1, "sweep budget must be positive");
-
-  // Incremental Gram-norm cache: colnorm[j] tracks ||b.col(j)||^2 and is
-  // updated from the rotation closed form, so the pair loop issues one
-  // O(rows) dot (aij) instead of three. Refreshed from scratch at every
-  // sweep start so float drift stays bounded by one sweep's rotations.
-  std::vector<float> colnorm(static_cast<std::size_t>(n));
-  std::uint64_t pair_visits = 0;
-  std::uint64_t pair_dots = 0;
-  std::uint64_t norm_dots = 0;
-
-  int sweep = 0;
-  for (; sweep < sweep_budget; ++sweep) {
-    tracker.begin_sweep();
-    for (int j = 0; j < n; ++j) {
-      auto bj = b.col(static_cast<std::size_t>(j));
-      colnorm[static_cast<std::size_t>(j)] = linalg::dot<float>(bj, bj);
-      ++norm_dots;
-    }
-    for (const auto& round : schedule) {
-      for (const auto& pair : round) {
-        const std::size_t li = static_cast<std::size_t>(pair.left);
-        const std::size_t ri = static_cast<std::size_t>(pair.right);
-        auto bi = b.col(li);
-        auto bj = b.col(ri);
-        const float aij = linalg::dot<float>(bi, bj);
-        const float aii = colnorm[li];
-        const float ajj = colnorm[ri];
-        ++pair_visits;
-        ++pair_dots;
-        tracker.observe(pair_coherence(aii, ajj, aij));
-        const Rotation<float> rot = compute_rotation(
-            aii, ajj, aij, static_cast<float>(opts.rotation_threshold));
-        if (rot.identity) continue;
-        linalg::apply_rotation(bi, bj, rot.c, rot.s);
-        linalg::rotated_norms(aii, ajj, aij, rot.c, rot.s, colnorm[li],
-                              colnorm[ri]);
-        // When a rotation cancels a dominant pair (sigma gap near
-        // 1/sqrt(eps)) the incremental update is pure cancellation
-        // noise and can land negative; refresh from the column.
-        if (!(colnorm[li] > 0.0f)) {
-          colnorm[li] = linalg::dot<float>(bi, bi);
-          ++norm_dots;
-        }
-        if (!(colnorm[ri] > 0.0f)) {
-          colnorm[ri] = linalg::dot<float>(bj, bj);
-          ++norm_dots;
-        }
-        if (opts.accumulate_v) {
-          linalg::apply_rotation(v.col(li), v.col(ri), rot.c, rot.s);
-        }
-      }
-    }
-    if (!opts.fixed_sweeps.has_value() && tracker.converged()) {
-      ++sweep;
-      break;
-    }
-  }
-
-  HestenesResult out;
-  out.sweeps = sweep;
-  out.pair_visits = pair_visits;
-  out.pair_dots = pair_dots;
-  out.norm_dots = norm_dots;
-  out.final_convergence_rate = tracker.sweep_rate();
-  out.converged = tracker.converged();
-  normalize_in_place(b, v, opts.accumulate_v, out.u, out.sigma, out.v);
-  return out;
+  return sweep_svd(a, opts.accumulate_v,
+                   hestenes_sequence(opts.ordering, static_cast<int>(a.cols())),
+                   {opts.precision, opts.rotation_threshold, opts.max_sweeps,
+                    opts.fixed_sweeps});
 }
 
 }  // namespace hsvd::jacobi

@@ -3,14 +3,15 @@
 // This is the algorithm layer's single-threaded executable model: it
 // consumes the same EngineSchedule objects the accelerator maps onto
 // AIEs, so ordering correctness can be tested without any hardware model
-// in the loop. Works in float (the AIE datatype) by default.
+// in the loop. Works in float (the AIE datatype) by default. The engine
+// is the ordering's pair sequence run through jacobi::run_sweeps (the
+// shared sweep loop and pair kernel, jacobi/sweep.hpp).
 #pragma once
 
-#include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "jacobi/ordering.hpp"
+#include "jacobi/sweep.hpp"
 #include "linalg/matrix.hpp"
 
 namespace hsvd::jacobi {
@@ -29,22 +30,9 @@ struct HestenesOptions {
   bool accumulate_v = true;
 };
 
-struct HestenesResult {
-  linalg::MatrixF u;          // rows x cols, orthonormal columns
-  std::vector<float> sigma;   // descending
-  linalg::MatrixF v;          // cols x cols (empty if accumulate_v = false)
-  int sweeps = 0;
-  double final_convergence_rate = 0.0;
-  bool converged = false;
-  // Instrumentation of the O(rows) column traversals, for asserting the
-  // incremental-norm invariant: the pair loop issues exactly one dot per
-  // pair visit (the off-diagonal aij); the diagonal Gram entries come
-  // from the per-column norm cache, which is refreshed by `norm_dots`
-  // full dots once per sweep to bound float drift.
-  std::uint64_t pair_visits = 0;
-  std::uint64_t pair_dots = 0;
-  std::uint64_t norm_dots = 0;
-};
+// One sweep of the tournament ordering over `columns` columns: its
+// rounds in order, each round's pairs in slot order.
+PairSequence hestenes_sequence(OrderingKind ordering, int columns);
 
 // Requires a.rows() >= a.cols() and an even column count (pad one zero
 // column upstream for odd sizes; the accelerator front end does this too).

@@ -9,14 +9,7 @@ namespace hsvd::shard {
 versal::ArrayStats merge_stats(
     const std::vector<versal::ArrayStats>& per_shard) {
   versal::ArrayStats sum;
-  for (const auto& s : per_shard) {
-    sum.neighbour_transfers += s.neighbour_transfers;
-    sum.dma_transfers += s.dma_transfers;
-    sum.dma_bytes += s.dma_bytes;
-    sum.stream_packets += s.stream_packets;
-    sum.stream_bytes += s.stream_bytes;
-    sum.kernel_invocations += s.kernel_invocations;
-  }
+  for (const auto& s : per_shard) sum += s;
   return sum;
 }
 

@@ -32,6 +32,17 @@ struct ArrayStats {
   std::uint64_t stream_packets = 0;
   std::uint64_t stream_bytes = 0;
   std::uint64_t kernel_invocations = 0;
+
+  // Element-wise sum (recovery re-runs and sharded runs merge counters).
+  ArrayStats& operator+=(const ArrayStats& o) {
+    neighbour_transfers += o.neighbour_transfers;
+    dma_transfers += o.dma_transfers;
+    dma_bytes += o.dma_bytes;
+    stream_packets += o.stream_packets;
+    stream_bytes += o.stream_bytes;
+    kernel_invocations += o.kernel_invocations;
+    return *this;
+  }
 };
 
 class AieArraySim {

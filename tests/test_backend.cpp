@@ -371,6 +371,31 @@ TEST(BackendExecute, GpuWcycleMatchesReferenceWithModeledEnergy) {
   EXPECT_DOUBLE_EQ(r.energy_joules, 270.0 * r.modeled_seconds);
 }
 
+// Finite input whose squared column norms overflow fp32: the host pair
+// kernel sees a non-finite coherence and the sweep loop must reject the
+// input with a typed error naming the pair, not abort the process.
+// One overflowing column is caught too: its infinite norm would otherwise
+// hide behind a zero coherence and come back as sigma = inf with kOk.
+TEST(BackendExecute, HostEnginesRejectFp32OverflowAsInputError) {
+  RefCase all = gaussian_case(32, 16, 1010);
+  for (float& x : all.a.data()) x *= 1e20f;
+  RefCase one = gaussian_case(32, 16, 1011);
+  for (float& x : one.a.col(0)) x *= 1e20f;
+  for (const RefCase* c : {&all, &one}) {
+    for (const char* name : {"cpu", "fpga-bcv", "gpu-wcycle"}) {
+      SCOPED_TRACE(cat(name, c == &all ? " all columns" : " one column"));
+      try {
+        (void)registry_backend(name).execute(c->a, SvdOptions{});
+        ADD_FAILURE() << "expected InputError";
+      } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("column pair"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 // ---- facade validation ----------------------------------------------------
 
 TEST(BackendFacade, UnknownBackendNameRejected) {

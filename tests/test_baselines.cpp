@@ -2,6 +2,7 @@
 // FPGA latency/resource model, and the GPU W-cycle model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "baselines/bcv.hpp"
@@ -27,20 +28,23 @@ TEST(Bcv, RoundsAlternateOddEven) {
 TEST(Bcv, SweepCoversAllPairsViaTranspositions) {
   // With unconditional swaps, n rounds of odd-even transposition bring
   // every pair of columns together exactly once (brick-wall network).
-  const int n = 8;
-  auto rounds = bcv_rounds(n);
-  std::vector<int> pos(n);
-  for (int i = 0; i < n; ++i) pos[static_cast<std::size_t>(i)] = i;
-  std::set<std::pair<int, int>> met;
-  for (const auto& round : rounds) {
-    for (const auto& [i, j] : round) {
-      auto key = std::minmax(pos[static_cast<std::size_t>(i)],
-                             pos[static_cast<std::size_t>(j)]);
-      EXPECT_TRUE(met.insert({key.first, key.second}).second);
-      std::swap(pos[static_cast<std::size_t>(i)], pos[static_cast<std::size_t>(j)]);
+  // The sweep reverses the column positions, so the sequence repeats
+  // with a period of two sweeps.
+  for (const int n : {7, 8}) {
+    SCOPED_TRACE(n);
+    const jacobi::PairSequence seq = bcv_sequence(n);
+    ASSERT_EQ(seq.sweeps.size(), 2u);
+    EXPECT_NE(seq.sweep(0), seq.sweep(1));
+    EXPECT_EQ(seq.sweep(2), seq.sweep(0));
+    for (int s = 0; s < 2; ++s) {
+      std::set<std::pair<int, int>> met;
+      for (const auto& pair : seq.sweep(s)) {
+        const auto key = std::minmax(pair.left, pair.right);
+        EXPECT_TRUE(met.insert({key.first, key.second}).second);
+      }
+      EXPECT_EQ(met.size(), static_cast<std::size_t>(n * (n - 1) / 2));
     }
   }
-  EXPECT_EQ(met.size(), static_cast<std::size_t>(n * (n - 1) / 2));
 }
 
 TEST(Bcv, ConvergesToReferenceSvd) {

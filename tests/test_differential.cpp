@@ -10,12 +10,15 @@
 // bit-identical -- timings included -- to the plain single-array
 // accelerator it wraps. Every healthy path's factors must additionally
 // satisfy the exact medium/full bounds the verify layer's
-// ResultVerifier enforces in production (DESIGN.md section 15).
+// ResultVerifier enforces in production (DESIGN.md section 15). The
+// fabric's factors are also pinned bit for bit to the host block
+// Hestenes engine it shares its pair kernel with (DESIGN.md section 2).
 //
 // The case set is seeded (default 20250806) so failures reproduce; set
 // HSVD_DIFF_SEED to fuzz a different draw locally.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +32,7 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "heterosvd.hpp"
+#include "jacobi/block.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/metrics.hpp"
 #include "linalg/reference_svd.hpp"
@@ -656,6 +660,80 @@ TEST(Differential, FaultRecoveryMatchesReferenceAndSerialBits) {
           << c.name << " shards=" << s << ": the fault never fired";
       expect_bit_identical(serial_result(i), r,
                            cat(c.name, " faulted shards=", s, " vs serial"));
+    }
+  }
+}
+
+// ---- Invariant: the fabric is block Hestenes ------------------------------
+
+// The orth-AIEs run jacobi::rotate_pair over the block-pair tournament in
+// the same pair order as block_hestenes_svd (the shifting ring moves a
+// pair between engines, never between rounds, and the pairs of a round
+// are disjoint), with the same per-sweep norm refresh and convergence
+// test. So the fabric's factors are the host engine's factors, bit for
+// bit, whatever the task slot, shard count or termination mode.
+TEST(Differential, FabricFactorsAreBlockHestenesBits) {
+  struct Layout {
+    int shards;
+    int p_task;
+  };
+  Rng rng(harness_seed() + 17);
+  for (std::size_t n : {30u, 64u}) {
+    std::vector<linalg::MatrixF> batch;
+    for (int i = 0; i < 2; ++i) {
+      batch.push_back(linalg::random_gaussian(n + 8, n, rng).cast<float>());
+    }
+    for (int p_eng : {3, 8}) {
+      for (const Layout layout : {Layout{1, 1}, Layout{1, 2}, Layout{2, 1}}) {
+        for (const bool precision_mode : {false, true}) {
+          accel::HeteroSvdConfig cfg;
+          cfg.rows = n + 8;
+          cfg.cols = n;
+          cfg.p_eng = p_eng;
+          cfg.p_task = layout.p_task;
+          cfg.iterations = 6;
+          if (precision_mode) cfg.precision = 1e-6;
+          const std::string what =
+              cat("n=", n, " P_eng=", p_eng, " S=", layout.shards,
+                  " P_task=", layout.p_task,
+                  precision_mode ? " precision" : " fixed");
+          SCOPED_TRACE(what);
+          const accel::RunResult run =
+              layout.shards == 1
+                  ? accel::HeteroSvdAccelerator(cfg).run(batch)
+                  : accel::ShardedAccelerator(cfg, layout.shards).run(batch);
+
+          jacobi::BlockOptions opts;
+          opts.block_cols = p_eng;
+          opts.ordering = cfg.ordering;
+          opts.accumulate_v = false;
+          if (precision_mode) {
+            opts.precision = *cfg.precision;
+            opts.max_sweeps = std::max(cfg.iterations, 30);
+          } else {
+            opts.fixed_sweeps = cfg.iterations;
+          }
+          ASSERT_EQ(run.tasks.size(), batch.size());
+          for (std::size_t t = 0; t < batch.size(); ++t) {
+            SCOPED_TRACE(cat("task ", t));
+            const accel::TaskResult& task = run.tasks[t];
+            ASSERT_EQ(task.status, SvdStatus::kOk) << task.message;
+            linalg::MatrixF padded(cfg.rows, cfg.padded_cols());
+            padded.assign_cols(0, batch[t]);
+            jacobi::HestenesResult ref =
+                jacobi::block_hestenes_svd(padded, opts);
+            EXPECT_EQ(task.iterations, ref.sweeps);
+            ref.sigma.resize(n);
+            linalg::MatrixF ref_u(cfg.rows, n);
+            for (std::size_t j = 0; j < n; ++j) {
+              const auto col = ref.u.col(j);
+              std::copy(col.begin(), col.end(), ref_u.col(j).begin());
+            }
+            EXPECT_TRUE(same_bits(task.sigma, ref.sigma));
+            EXPECT_TRUE(same_bits(task.u, ref_u));
+          }
+        }
+      }
     }
   }
 }

@@ -1,8 +1,10 @@
-// Tests for the functional AIE kernels and the kernel timing model.
+// Tests for the functional AIE kernels (the orth-AIE pair step is
+// jacobi::rotate_pair) and the kernel timing model.
 #include <gtest/gtest.h>
 
 #include "accel/kernels.hpp"
 #include "common/rng.hpp"
+#include "jacobi/sweep.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/ops.hpp"
 #include "perfmodel/aie_timing.hpp"
@@ -10,10 +12,18 @@
 namespace hsvd::accel {
 namespace {
 
+// The orth-AIE pair step is jacobi::rotate_pair; these drive it with
+// freshly computed norms, as a sweep's first visit of a pair does.
+jacobi::PairRotation rotate_fresh(linalg::MatrixF& a) {
+  float aii = linalg::dot<float>(a.col(0), a.col(0));
+  float ajj = linalg::dot<float>(a.col(1), a.col(1));
+  return jacobi::rotate_pair(a.col(0), a.col(1), aii, ajj);
+}
+
 TEST(OrthKernel, OrthogonalizesPair) {
   Rng rng(42);
   auto a = linalg::random_gaussian(64, 2, rng).cast<float>();
-  auto r = orth_kernel(a.col(0), a.col(1));
+  auto r = rotate_fresh(a);
   EXPECT_TRUE(r.rotated);
   EXPECT_GT(r.coherence, 0.0);
   EXPECT_NEAR(linalg::dot<float>(a.col(0), a.col(1)), 0.0f, 1e-4f);
@@ -23,7 +33,7 @@ TEST(OrthKernel, IdentityOnOrthogonalPair) {
   linalg::MatrixF a(4, 2);
   a(0, 0) = 1.0f;
   a(1, 1) = 1.0f;
-  auto r = orth_kernel(a.col(0), a.col(1));
+  auto r = rotate_fresh(a);
   EXPECT_FALSE(r.rotated);
   EXPECT_EQ(r.coherence, 0.0);
 }
@@ -31,7 +41,7 @@ TEST(OrthKernel, IdentityOnOrthogonalPair) {
 TEST(OrthKernel, ZeroColumnIsFixedPoint) {
   linalg::MatrixF a(4, 2);
   a(0, 0) = 3.0f;
-  auto r = orth_kernel(a.col(0), a.col(1));
+  auto r = rotate_fresh(a);
   EXPECT_FALSE(r.rotated);
   EXPECT_FLOAT_EQ(a(0, 0), 3.0f);
 }

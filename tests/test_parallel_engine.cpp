@@ -1,6 +1,7 @@
 // Determinism and kernel-accuracy tests for the host parallel engine:
 // the thread pool, the fused linalg kernels (dot3 / fused rotation /
-// incremental norms), the one-dot-per-pair Hestenes invariant, and the
+// incremental norms), the one-dot-per-pair invariant of the host Jacobi
+// engines (plain, block and BCV), and the
 // DSE placement memoization.
 #include <gtest/gtest.h>
 
@@ -11,10 +12,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "baselines/bcv.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dse/explorer.hpp"
 #include "heterosvd.hpp"
+#include "jacobi/block.hpp"
 #include "jacobi/hestenes.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/ops.hpp"
@@ -177,18 +180,40 @@ TEST(FusedKernels, RotatedNormsTrackTrueNormsThroughASweep) {
 
 TEST(HestenesCounters, ExactlyOneDotPerPairVisit) {
   auto a = random_matrix(32, 16, 501);
-  jacobi::HestenesOptions opts;
-  opts.fixed_sweeps = 6;
-  const auto r = jacobi::hestenes_svd(a, opts);
-  ASSERT_GT(r.pair_visits, 0u);
-  // The incremental Gram-norm cache leaves only the off-diagonal dot in
-  // the pair loop; diagonals come from the per-sweep norm refresh.
-  EXPECT_EQ(r.pair_dots, r.pair_visits);
-  EXPECT_EQ(r.norm_dots, static_cast<std::uint64_t>(r.sweeps) * a.cols());
-  // Sanity: a full sweep of an n-column matrix visits n(n-1)/2 pairs.
-  const std::uint64_t pairs_per_sweep = 16 * 15 / 2;
-  EXPECT_EQ(r.pair_visits,
-            static_cast<std::uint64_t>(r.sweeps) * pairs_per_sweep);
+  const std::uint64_t n = a.cols();
+  jacobi::HestenesOptions hopts;
+  hopts.fixed_sweeps = 6;
+  jacobi::BlockOptions bopts;
+  bopts.block_cols = 4;
+  bopts.fixed_sweeps = 6;
+  baselines::BcvOptions copts;
+  copts.fixed_sweeps = 6;
+  // Visits per sweep: a tournament (and BCV's brick-wall network) meets
+  // each of the n(n-1)/2 pairs once; block Hestenes re-meets the
+  // intra-block pairs in every block pair's 2k-column tournament, so it
+  // visits C(p,2) * 2k(2k-1)/2 pairs for p = n/k blocks.
+  const std::uint64_t blocks = n / 4;
+  const struct {
+    const char* engine;
+    jacobi::HestenesResult r;
+    std::uint64_t visits_per_sweep;
+  } runs[] = {
+      {"hestenes", jacobi::hestenes_svd(a, hopts), n * (n - 1) / 2},
+      {"block", jacobi::block_hestenes_svd(a, bopts),
+       blocks * (blocks - 1) / 2 * (8 * 7 / 2)},
+      {"bcv", baselines::bcv_svd(a, copts), n * (n - 1) / 2},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.engine);
+    const jacobi::HestenesResult& r = run.r;
+    ASSERT_EQ(r.sweeps, 6);
+    // The incremental Gram-norm cache leaves only the off-diagonal dot in
+    // the pair loop; diagonals come from the per-sweep norm refresh.
+    EXPECT_EQ(r.pair_dots, r.pair_visits);
+    EXPECT_EQ(r.norm_dots, static_cast<std::uint64_t>(r.sweeps) * n);
+    EXPECT_EQ(r.pair_visits,
+              static_cast<std::uint64_t>(r.sweeps) * run.visits_per_sweep);
+  }
 }
 
 // ---- batch determinism across thread counts ------------------------------

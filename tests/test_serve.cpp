@@ -523,6 +523,31 @@ TEST(ServeServer, BreakerTripsFastFailsAndClosesAfterAProbe) {
   EXPECT_EQ(stats.breaker_trips, 1u);
 }
 
+TEST(ServeServer, Fp32OverflowOnTheCpuBackendFailsOnlyThatRequest) {
+  FakeClock clock;
+  ServerOptions options;
+  options.queue_capacity = 4;
+  options.workers = 1;
+  options.svd.threads = 1;
+  options.clock = &clock;
+  SvdServer server(options);
+
+  // Finite, but every squared column norm overflows fp32: the host sweep
+  // rejects it as an InputError instead of taking the server down.
+  Request overflow = plain_request(small_matrix(40));
+  for (float& x : overflow.matrix.data()) x *= 1e20f;
+  overflow.backend = "cpu";
+  const Response failed = server.serve(std::move(overflow));
+  EXPECT_EQ(failed.status, ServeStatus::kFailed);
+  EXPECT_EQ(failed.attempts, 1);  // deterministic rejection: no retry
+  EXPECT_NE(failed.message.find("column pair"), std::string::npos)
+      << failed.message;
+
+  Request healthy = plain_request(small_matrix(41));
+  healthy.backend = "cpu";
+  EXPECT_EQ(server.serve(std::move(healthy)).status, ServeStatus::kOk);
+}
+
 TEST(ServeServer, InvalidOptionsAreRejectedAtConstruction) {
   ServerOptions options;
   options.queue_capacity = 0;
