@@ -361,11 +361,15 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
             b->col(static_cast<std::size_t>(gr)),
             (*colnorm)[static_cast<std::size_t>(gl)],
             (*colnorm)[static_cast<std::size_t>(gr)]);
+        // Injected faults corrupt only tile-memory payload copies, and
+        // the rotation runs on the host matrix, so a non-finite
+        // coherence comes from the input data (e.g. fp32 overflow of
+        // the Gram entries). No tile is blamed: masking cannot help.
         if (!std::isfinite(r.coherence)) {
           throw FaultDetected(
               cat("orth kernel on tile ", versal::to_string(tile),
                   " produced a non-finite coherence"),
-              tile.row, tile.col, end);
+              end);
         }
         system.observe_pair(r.coherence);
       }
@@ -490,11 +494,13 @@ double HeteroSvdAccelerator::execute_norm_block(
     if (functional) {
       const std::size_t gc = static_cast<std::size_t>(blk * k + i);
       (*sigma)[gc] = norm_kernel(b->col(gc)).sigma;
+      // Data-caused, like the orth kernel's coherence guard: no tile is
+      // blamed.
       if (!std::isfinite((*sigma)[gc])) {
         throw FaultDetected(cat("norm kernel on tile ",
                                 versal::to_string(tile),
                                 " produced a non-finite singular value"),
-                            tile.row, tile.col, rx_done);
+                            rx_done);
       }
     }
   }

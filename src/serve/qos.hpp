@@ -1,9 +1,9 @@
 // Multi-tenant QoS configuration for the serving layer.
 //
-// PR 4's SvdServer treats every request as an anonymous equal: one
-// bursty client can fill the bounded admission queue and starve the
-// rest. The QoS layer gives every request a tenant identity and a
-// priority class, and the server then enforces policy per tenant:
+// With one shared queue, one bursty client can fill the bounded
+// admission queue and starve the rest. The QoS layer gives every
+// request a tenant identity and a priority class, and the server then
+// enforces policy per tenant:
 //
 //   quota      -- a clock-driven common::TokenBucket per tenant; a
 //                 tenant offering more than its refill rate sheds its
@@ -27,9 +27,10 @@
 //                 against the full stored matrix, so a digest collision
 //                 can never return the wrong factors.
 //
-// QoS engages only when at least one tenant is configured
-// (QosOptions::enabled()); with no tenants the server runs the PR 4
-// single-FIFO path bit-identically.
+// Every request goes through these layers. With no tenants configured
+// the server adds one "default" tenant with an unlimited quota, so
+// untagged traffic is never shed by quota and dispatches in admission
+// order.
 #pragma once
 
 #include <cstddef>
@@ -59,9 +60,9 @@ struct TenantConfig {
 };
 
 struct QosOptions {
-  // Tenants the server accepts; empty = QoS disabled (PR 4 behavior).
-  // A request naming no tenant maps to "default" -- configure a tenant
-  // of that name to accept untagged traffic; unknown tenants are shed.
+  // Tenants the server accepts; empty = one "default" tenant with an
+  // unlimited quota. A request naming no tenant maps to "default";
+  // unknown tenants are shed.
   std::vector<TenantConfig> tenants;
 
   // Shape-bucketed micro-batching: a dispatching worker folds up to
@@ -83,7 +84,6 @@ struct QosOptions {
   // running lower-class work when no worker is idle.
   bool enable_preemption = true;
 
-  bool enabled() const { return !tenants.empty(); }
   // Index of `name` (empty maps to "default") in `tenants`, or npos.
   std::size_t tenant_index(const std::string& name) const;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -63,42 +63,48 @@ SvdServer::SvdServer(ServerOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock
                                        : &common::MonotonicClock::instance()),
-      breaker_(options_.breaker, clock_),
-      qos_enabled_(options_.qos.enabled()) {
+      breaker_(options_.breaker, clock_) {
   options_.validate();
   paused_ = options_.start_paused;
-  if (qos_enabled_) {
-    const double now_s = clock_->now_seconds();
-    std::vector<double> weights;
-    tenants_.reserve(options_.qos.tenants.size());
-    weights.reserve(options_.qos.tenants.size());
+  if (options_.qos.tenants.empty()) {
+    // No tenants configured: one unlimited "default" tenant takes all
+    // untagged traffic. With one tenant in one class, DRR is a FIFO.
+    TenantConfig implicit;
+    implicit.name = "default";
+    implicit.quota_rate = std::numeric_limits<double>::infinity();
+    implicit.quota_burst = std::numeric_limits<double>::infinity();
+    options_.qos.tenants.push_back(std::move(implicit));
+  }
+  const double now_s = clock_->now_seconds();
+  std::vector<double> weights;
+  tenants_.reserve(options_.qos.tenants.size());
+  weights.reserve(options_.qos.tenants.size());
+  for (const TenantConfig& tenant : options_.qos.tenants) {
+    tenants_.emplace_back(
+        tenant,
+        common::TokenBucket(tenant.quota_rate, tenant.quota_burst, now_s));
+    weights.push_back(tenant.weight);
+  }
+  drr_.reserve(kPriorityBands);
+  for (int band = 0; band < kPriorityBands; ++band) {
+    drr_.emplace_back(weights);
+  }
+  if (options_.qos.cache_enabled) {
+    cache_ = std::make_unique<ResultCache>(options_.qos.cache_capacity);
+  }
+  if (options_.observer != nullptr) {
+    auto& metrics = options_.observer->metrics();
+    metrics.register_histogram(
+        "serve.batch.fill",
+        obs::MetricsRegistry::exponential_bounds(1.0, 2.0, 8));
     for (const TenantConfig& tenant : options_.qos.tenants) {
-      tenants_.emplace_back(
-          tenant,
-          common::TokenBucket(tenant.quota_rate, tenant.quota_burst, now_s));
-      weights.push_back(tenant.weight);
-    }
-    drr_.reserve(kPriorityBands);
-    for (int band = 0; band < kPriorityBands; ++band) {
-      drr_.emplace_back(weights);
-    }
-    if (options_.qos.cache_enabled) {
-      cache_ = std::make_unique<ResultCache>(options_.qos.cache_capacity);
-    }
-    if (options_.observer != nullptr) {
-      auto& metrics = options_.observer->metrics();
       metrics.register_histogram(
-          "serve.batch.fill",
-          obs::MetricsRegistry::exponential_bounds(1.0, 2.0, 8));
-      for (const TenantConfig& tenant : options_.qos.tenants) {
-        metrics.register_histogram(
-            "serve.tenant." + tenant.name + ".latency_seconds",
-            obs::MetricsRegistry::exponential_bounds(1e-5, 2.0, 32));
-      }
+          "serve.tenant." + tenant.name + ".latency_seconds",
+          obs::MetricsRegistry::exponential_bounds(1e-5, 2.0, 32));
     }
   }
   running_.resize(static_cast<std::size_t>(options_.workers));
-  set_breaker_gauge();
+  publish_breaker();
   gauge("serve.queue.depth", 0.0);
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
@@ -118,108 +124,78 @@ std::future<Response> SvdServer::submit(Request request) {
     ++counters_.submitted;
     count("serve.submitted");
 
-    if (!qos_enabled_) {
-      // Single-FIFO admission, bit-identical to the pre-QoS server.
-      if (stopping_ || queue_.size() >= options_.queue_capacity) {
-        ++counters_.shed;
-        count("serve.shed");
-        Response shed;
-        shed.status = ServeStatus::kShed;
-        shed.message = stopping_ ? "server is shutting down"
-                                 : "work queue full, request shed";
-        promise.set_value(std::move(shed));
-        return future;
-      }
-      Job job;
-      job.request = std::move(request);
-      job.promise = std::move(promise);
-      job.serial = next_serial_++;
-      job.admitted_s = now_s;
-      const double budget = job.request.deadline_seconds > 0.0
-                                ? job.request.deadline_seconds
-                                : options_.default_deadline_seconds;
-      if (budget > 0.0) job.deadline_abs_s = now_s + budget;
-      queue_.push_back(std::move(job));
-      ++counters_.admitted;
-      count("serve.admitted");
-      counters_.queue_depth = queue_.size();
-      counters_.peak_queue_depth =
-          std::max(counters_.peak_queue_depth, queue_.size());
-      gauge("serve.queue.depth", static_cast<double>(queue_.size()));
-    } else {
-      // QoS admission: tenant resolution, quota, per-tenant queue bound.
-      const std::size_t idx = options_.qos.tenant_index(request.tenant);
-      const Priority priority = request.priority;
-      const auto shed_with = [&](const std::string& message) {
-        ++counters_.shed;
-        count("serve.shed");
-        Response shed;
-        shed.status = ServeStatus::kShed;
-        shed.message = message;
-        shed.tenant = request.tenant.empty() ? "default" : request.tenant;
-        shed.priority = priority;
-        promise.set_value(std::move(shed));
-      };
-      if (idx == QosOptions::npos) {
-        ++counters_.unknown_tenant;
-        count("serve.shed.unknown_tenant");
-        shed_with("unknown tenant '" +
-                  (request.tenant.empty() ? std::string("default")
-                                          : request.tenant) +
-                  "', request shed");
-        return future;
-      }
-      TenantRuntime& tenant = tenants_[idx];
-      ++tenant.stats.submitted;
-      if (stopping_) {
-        ++tenant.stats.shed_queue;
-        count_tenant(idx, "shed_queue");
-        shed_with("server is shutting down");
-        return future;
-      }
-      if (!tenant.bucket.try_acquire(now_s)) {
-        ++counters_.quota_shed;
-        ++tenant.stats.shed_quota;
-        count("serve.shed.quota");
-        count_tenant(idx, "shed_quota");
-        shed_with("tenant quota exhausted, request shed");
-        return future;
-      }
-      const int band = static_cast<int>(priority);
-      if (tenant.queues[band].size() >= options_.queue_capacity) {
-        ++tenant.stats.shed_queue;
-        count_tenant(idx, "shed_queue");
-        shed_with("tenant queue full, request shed");
-        return future;
-      }
-      Job job;
-      job.request = std::move(request);
-      job.promise = std::move(promise);
-      job.serial = next_serial_++;
-      job.admitted_s = now_s;
-      job.tenant = idx;
-      job.band = band;
-      // Routed and scenario-tagged requests never coalesce: the
-      // coalescer dispatches under the pinned classic accelerator
-      // configuration, which a routed job may not even run on and a
-      // scenario front-end bypasses entirely. QoS queues/quotas are
-      // untouched -- these only change what happens at dispatch.
-      job.solo_only =
-          routed_request(job.request) || scenario_request(job.request);
-      const double budget = job.request.deadline_seconds > 0.0
-                                ? job.request.deadline_seconds
-                                : options_.default_deadline_seconds;
-      if (budget > 0.0) job.deadline_abs_s = now_s + budget;
-      tenant.queues[band].push_back(std::move(job));
-      ++counters_.admitted;
-      ++tenant.stats.admitted;
-      count("serve.admitted");
-      counters_.queue_depth = total_backlog_locked();
-      counters_.peak_queue_depth =
-          std::max(counters_.peak_queue_depth, counters_.queue_depth);
-      set_depth_gauge_locked();
-      maybe_preempt_locked(band);
+    // Admission: tenant resolution, quota, per-(tenant, class) queue bound.
+    const std::size_t idx = options_.qos.tenant_index(request.tenant);
+    const Priority priority = request.priority;
+    const auto shed_with = [&](const std::string& message) {
+      ++counters_.shed;
+      count("serve.shed");
+      Response shed;
+      shed.status = ServeStatus::kShed;
+      shed.message = message;
+      shed.tenant = request.tenant.empty() ? "default" : request.tenant;
+      shed.priority = priority;
+      promise.set_value(std::move(shed));
+    };
+    if (idx == QosOptions::npos) {
+      ++counters_.unknown_tenant;
+      count("serve.shed.unknown_tenant");
+      shed_with("unknown tenant '" +
+                (request.tenant.empty() ? std::string("default")
+                                        : request.tenant) +
+                "', request shed");
+      return future;
     }
+    TenantRuntime& tenant = tenants_[idx];
+    ++tenant.stats.submitted;
+    if (stopping_) {
+      ++tenant.stats.shed_queue;
+      count_tenant(idx, "shed_queue");
+      shed_with("server is shutting down");
+      return future;
+    }
+    if (!tenant.bucket.try_acquire(now_s)) {
+      ++counters_.quota_shed;
+      ++tenant.stats.shed_quota;
+      count("serve.shed.quota");
+      count_tenant(idx, "shed_quota");
+      shed_with("tenant quota exhausted, request shed");
+      return future;
+    }
+    const int band = static_cast<int>(priority);
+    if (tenant.queues[band].size() >= options_.queue_capacity) {
+      ++tenant.stats.shed_queue;
+      count_tenant(idx, "shed_queue");
+      shed_with("tenant queue full, request shed");
+      return future;
+    }
+    Job job;
+    job.request = std::move(request);
+    job.promise = std::move(promise);
+    job.serial = next_serial_++;
+    job.admitted_s = now_s;
+    job.tenant = idx;
+    job.band = band;
+    // Routed and scenario-tagged requests never coalesce: the
+    // coalescer dispatches under the pinned classic accelerator
+    // configuration, which a routed job may not even run on and a
+    // scenario front-end bypasses entirely. QoS queues/quotas are
+    // untouched -- these only change what happens at dispatch.
+    job.solo_only =
+        routed_request(job.request) || scenario_request(job.request);
+    const double budget = job.request.deadline_seconds > 0.0
+                              ? job.request.deadline_seconds
+                              : options_.default_deadline_seconds;
+    if (budget > 0.0) job.deadline_abs_s = now_s + budget;
+    tenant.queues[band].push_back(std::move(job));
+    ++counters_.admitted;
+    ++tenant.stats.admitted;
+    count("serve.admitted");
+    counters_.queue_depth = total_backlog_locked();
+    counters_.peak_queue_depth =
+        std::max(counters_.peak_queue_depth, counters_.queue_depth);
+    set_depth_gauge_locked();
+    maybe_preempt_locked(band);
   }
   cv_.notify_one();
   return future;
@@ -278,32 +254,19 @@ void SvdServer::worker_loop(std::size_t worker_index) {
         if (stopping_) return;  // drained
         continue;               // spurious wake while paused
       }
-      if (qos_enabled_) {
-        std::optional<Job> picked = pop_next_locked();
-        if (!picked.has_value()) {
-          if (stopping_) return;
-          continue;
-        }
-        job = std::move(*picked);
-        job.dispatch_ordinal = ++next_dispatch_;
-        gather_coalesce_locked(job, extras, clock_->now_seconds());
-        for (Job& extra : extras) extra.dispatch_ordinal = ++next_dispatch_;
-      } else {
-        job = std::move(queue_.front());
-        queue_.pop_front();
-        job.dispatch_ordinal = ++next_dispatch_;
+      std::optional<Job> picked = pop_next_locked();
+      if (!picked.has_value()) {
+        if (stopping_) return;
+        continue;
       }
+      job = std::move(*picked);
+      job.dispatch_ordinal = ++next_dispatch_;
+      gather_coalesce_locked(job, extras, clock_->now_seconds());
+      for (Job& extra : extras) extra.dispatch_ordinal = ++next_dispatch_;
       counters_.queue_depth = total_backlog_locked();
       set_depth_gauge_locked();
     }
-    if (qos_enabled_) {
-      service_qos(worker_index, std::move(job), std::move(extras));
-    } else {
-      common::CancelToken token(*clock_, job.deadline_abs_s);
-      Response response = execute(job, token);
-      note_terminal(job, response);
-      resolve(std::move(job), std::move(response));
-    }
+    dispatch(worker_index, std::move(job), std::move(extras));
   }
 }
 
@@ -408,24 +371,13 @@ Response SvdServer::execute(Job& job, common::CancelToken& token) {
     }
   }
 
-  // Surface breaker trips that happened on this worker's watch.
-  const std::uint64_t trips = breaker_.trips();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (trips > last_trips_) {
-      count("serve.breaker.trips", trips - last_trips_);
-      counters_.breaker_trips = trips;
-      last_trips_ = trips;
-    }
-  }
-  set_breaker_gauge();
-
+  publish_breaker();
   out.service_seconds = clock_->now_seconds() - start_s;
   return out;
 }
 
-void SvdServer::service_qos(std::size_t worker_index, Job primary,
-                            std::vector<Job> extras) {
+void SvdServer::dispatch(std::size_t worker_index, Job primary,
+                         std::vector<Job> extras) {
   std::vector<Job> jobs;
   jobs.reserve(1 + extras.size());
   jobs.push_back(std::move(primary));
@@ -647,40 +599,35 @@ void SvdServer::execute_coalesced(std::size_t worker_index,
     out.queue_seconds = start_s - job.admitted_s;
     out.service_seconds = end_s - start_s;
     out.batch_size = k;
-    if (result.status == SvdStatus::kFailed) {
+    const bool failed = result.status == SvdStatus::kFailed;
+    const bool not_converged = result.status == SvdStatus::kNotConverged;
+    if (failed) {
       breaker_.record_failure();
-      if (can_retry && !stopping_seen()) {
-        // Fall back to the solo path, which owns backoff and the
-        // remaining attempt budget.
-        count("serve.retries");
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++counters_.retries;
-        }
-        job.solo_only = true;
-        requeue(std::move(job), /*count_preemption=*/false);
-        continue;
+    } else {
+      breaker_.record_success();
+    }
+    if (can_retry &&
+        (failed || (not_converged && options_.retry.retry_not_converged)) &&
+        !stopping_seen()) {
+      // Fall back to the solo path, which owns backoff and the
+      // remaining attempt budget.
+      count("serve.retries");
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++counters_.retries;
       }
+      job.solo_only = true;
+      requeue(std::move(job), /*count_preemption=*/false);
+      continue;
+    }
+    if (failed) {
       out.status = ServeStatus::kFailed;
       out.message = result.message;
-    } else if (result.status == SvdStatus::kNotConverged) {
-      breaker_.record_success();
-      if (options_.retry.retry_not_converged && can_retry &&
-          !stopping_seen()) {
-        count("serve.retries");
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++counters_.retries;
-        }
-        job.solo_only = true;
-        requeue(std::move(job), /*count_preemption=*/false);
-        continue;
-      }
+    } else if (not_converged) {
       out.status = ServeStatus::kNotConverged;
       out.result = std::move(result);
       out.message = out.result.message;
     } else {
-      breaker_.record_success();
       if (cacheable(job)) {
         cache_->insert(job.request.matrix,
                        ResultCache::digest(job.request.matrix), result,
@@ -693,17 +640,7 @@ void SvdServer::execute_coalesced(std::size_t worker_index,
     note_terminal(job, out);
     resolve(std::move(job), std::move(out));
   }
-
-  const std::uint64_t trips = breaker_.trips();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (trips > last_trips_) {
-      count("serve.breaker.trips", trips - last_trips_);
-      counters_.breaker_trips = trips;
-      last_trips_ = trips;
-    }
-  }
-  set_breaker_gauge();
+  publish_breaker();
 }
 
 accel::HeteroSvdConfig SvdServer::config_for_shape(std::size_t rows,
@@ -797,7 +734,6 @@ void SvdServer::gather_coalesce_locked(const Job& primary,
 }
 
 std::size_t SvdServer::total_backlog_locked() const {
-  if (!qos_enabled_) return queue_.size();
   std::size_t total = 0;
   for (const TenantRuntime& tenant : tenants_) {
     for (const auto& queue : tenant.queues) total += queue.size();
@@ -825,10 +761,8 @@ void SvdServer::requeue(Job job, bool count_preemption) {
 }
 
 void SvdServer::resolve(Job job, Response response) {
-  if (qos_enabled_) {
-    response.tenant = tenants_[job.tenant].config.name;
-    response.priority = static_cast<Priority>(job.band);
-  }
+  response.tenant = tenants_[job.tenant].config.name;
+  response.priority = static_cast<Priority>(job.band);
   response.preemptions = job.preemptions;
   response.dispatch_ordinal = job.dispatch_ordinal;
   job.promise.set_value(std::move(response));
@@ -836,55 +770,33 @@ void SvdServer::resolve(Job job, Response response) {
 
 void SvdServer::note_terminal(const Job& job, const Response& response) {
   std::lock_guard<std::mutex> lock(mutex_);
+  TenantRuntime& tenant = tenants_[job.tenant];
+  const auto tally = [&](std::uint64_t& total, std::uint64_t& per_tenant,
+                         const char* name) {
+    ++total;
+    ++per_tenant;
+    count(std::string("serve.") + name);
+    count_tenant(job.tenant, name);
+  };
   switch (response.status) {
     case ServeStatus::kOk:
-      ++counters_.ok;
-      count("serve.ok");
+      tally(counters_.ok, tenant.stats.ok, "ok");
       break;
     case ServeStatus::kNotConverged:
-      ++counters_.not_converged;
-      count("serve.not_converged");
+      tally(counters_.not_converged, tenant.stats.not_converged,
+            "not_converged");
       break;
     case ServeStatus::kExpired:
-      ++counters_.expired;
-      count("serve.expired");
+      tally(counters_.expired, tenant.stats.expired, "expired");
       break;
     case ServeStatus::kCircuitOpen:
-      ++counters_.circuit_open;
-      count("serve.circuit_open");
+      tally(counters_.circuit_open, tenant.stats.circuit_open, "circuit_open");
       break;
     case ServeStatus::kFailed:
-      ++counters_.failed;
-      count("serve.failed");
+      tally(counters_.failed, tenant.stats.failed, "failed");
       break;
     case ServeStatus::kShed:
       break;  // counted at admission
-  }
-  if (!qos_enabled_) return;
-  TenantRuntime& tenant = tenants_[job.tenant];
-  switch (response.status) {
-    case ServeStatus::kOk:
-      ++tenant.stats.ok;
-      count_tenant(job.tenant, "ok");
-      break;
-    case ServeStatus::kNotConverged:
-      ++tenant.stats.not_converged;
-      count_tenant(job.tenant, "not_converged");
-      break;
-    case ServeStatus::kExpired:
-      ++tenant.stats.expired;
-      count_tenant(job.tenant, "expired");
-      break;
-    case ServeStatus::kCircuitOpen:
-      ++tenant.stats.circuit_open;
-      count_tenant(job.tenant, "circuit_open");
-      break;
-    case ServeStatus::kFailed:
-      ++tenant.stats.failed;
-      count_tenant(job.tenant, "failed");
-      break;
-    case ServeStatus::kShed:
-      break;
   }
   if (response.cache_hit) {
     ++tenant.stats.cache_hits;
@@ -944,7 +856,16 @@ bool SvdServer::stopping_seen() const {
   return stopping_;
 }
 
-void SvdServer::set_breaker_gauge() {
+void SvdServer::publish_breaker() {
+  const std::uint64_t trips = breaker_.trips();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (trips > last_trips_) {
+      count("serve.breaker.trips", trips - last_trips_);
+      counters_.breaker_trips = trips;
+      last_trips_ = trips;
+    }
+  }
   gauge("serve.breaker.state", static_cast<double>(breaker_.state()));
 }
 
@@ -952,7 +873,7 @@ void SvdServer::set_depth_gauge_locked() {
   gauge("serve.queue.depth", static_cast<double>(counters_.queue_depth));
 }
 
-void SvdServer::count(const char* name, std::uint64_t delta) {
+void SvdServer::count(const std::string& name, std::uint64_t delta) {
   if (options_.observer != nullptr) options_.observer->metrics().add(name, delta);
 }
 

@@ -22,24 +22,24 @@
 //     fabric; after a cooldown, probe requests half-open it and
 //     successes close it again.
 //
-// With tenants configured (ServerOptions::qos), the server additionally
-// enforces multi-tenant QoS -- see serve/qos.hpp for the policy pieces:
-// token-bucket admission quotas, per-tenant queues drained by deficit
-// round-robin within three priority classes, preemption of lower-class
-// running work at sweep barriers (preempted work is re-queued and its
-// re-run is bit-identical), shape-bucketed micro-batching through
-// svd_batch under the exact per-shape configuration the serial path
-// would pick, and a verified digest-keyed result cache. With no tenants
-// configured every one of these layers is compiled out of the request
-// path and the server behaves bit-identically to the single-FIFO
-// version.
+// Every request also passes the multi-tenant QoS layer (ServerOptions::
+// qos; see serve/qos.hpp for the policy pieces): token-bucket admission
+// quotas, per-tenant queues drained by deficit round-robin within three
+// priority classes, preemption of lower-class running work at sweep
+// barriers (preempted work is re-queued and its re-run is
+// bit-identical), shape-bucketed micro-batching through svd_batch under
+// the exact per-shape configuration the serial path would pick, and a
+// verified digest-keyed result cache. There is one admission path and
+// one dispatch path. A server configured without tenants runs them with
+// one "default" tenant whose quota is unlimited; with one tenant and
+// untagged traffic, DRR dispatches in admission order.
 //
 // All time comes from a common::Clock, so every behavior above is
 // testable with a FakeClock and zero real sleeps. An attached
 // obs::ObsContext gets serve.* counters (shed/retries/trips/...), a
-// queue-depth gauge, a breaker-state gauge, and -- in QoS mode -- the
-// serve.batch.fill histogram, serve.cache.{hit,miss} counters, and
-// per-tenant latency histograms and shed counters.
+// queue-depth gauge, a breaker-state gauge, the serve.batch.fill
+// histogram, serve.cache.{hit,miss} counters, and per-tenant latency
+// histograms and status counters.
 #pragma once
 
 #include <array>
@@ -82,9 +82,9 @@ enum class ServeStatus {
 const char* to_string(ServeStatus status);
 
 struct ServerOptions {
-  // Admission control: requests queued beyond this are shed. In QoS
-  // mode the bound applies per (tenant, priority class) queue, so one
-  // tenant's backlog can never displace another's.
+  // Admission control: requests queued beyond this are shed. The bound
+  // applies per (tenant, priority class) queue, so one tenant's backlog
+  // can never displace another's.
   std::size_t queue_capacity = 64;
   // Worker threads executing requests.
   int workers = 1;
@@ -95,7 +95,8 @@ struct ServerOptions {
   common::RetryPolicy retry;
   BreakerPolicy breaker;
   // Multi-tenant QoS (quotas, fair share, priorities, coalescing,
-  // result cache). Disabled while `qos.tenants` is empty.
+  // result cache). An empty `qos.tenants` means one "default" tenant
+  // with an unlimited quota.
   QosOptions qos;
   // Deadline budget for requests that do not carry their own (seconds
   // on `clock`); 0 = no deadline.
@@ -123,10 +124,10 @@ struct Request {
   // request its own seeded fault plan. Injector-carrying requests are
   // never coalesced or cached.
   versal::FaultInjector* fault_injector = nullptr;
-  // Tenant identity (QoS mode only; empty maps to "default"). A name
-  // matching no configured tenant is shed at admission.
+  // Tenant identity (empty maps to "default"). A name matching no
+  // configured tenant is shed at admission.
   std::string tenant;
-  // Priority class (QoS mode only).
+  // Priority class.
   Priority priority = Priority::kNormal;
   // Per-request backend routing (DESIGN.md section 14): a pin ("aie",
   // "cpu", ...), "auto", or an SLO for the router -- copied into the
@@ -162,7 +163,7 @@ struct Response {
   std::string message;
   double queue_seconds = 0.0;    // admission -> service start
   double service_seconds = 0.0;  // service start -> terminal status
-  // --- QoS fields (defaults outside QoS mode) ---------------------
+  // --- QoS fields -------------------------------------------------
   std::string tenant;
   Priority priority = Priority::kNormal;
   bool cache_hit = false;
@@ -180,7 +181,7 @@ struct Response {
   std::string backend;
 };
 
-// Per-tenant terminal accounting (QoS mode).
+// Per-tenant terminal accounting.
 struct TenantStats {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -210,7 +211,7 @@ struct ServerStats {
   std::size_t queue_depth = 0;
   std::size_t peak_queue_depth = 0;
   BreakerState breaker_state = BreakerState::kClosed;
-  // --- QoS (zero outside QoS mode) --------------------------------
+  // --- QoS --------------------------------------------------------
   std::uint64_t quota_shed = 0;
   std::uint64_t unknown_tenant = 0;
   std::uint64_t preemptions = 0;          // effective (work re-queued)
@@ -269,9 +270,8 @@ class SvdServer {
     std::uint64_t dispatch_ordinal = 0;
   };
 
-  // Per-tenant runtime state (QoS mode). Move-only: jobs carry a
-  // promise, so the queues (and therefore the runtime) cannot be
-  // copied.
+  // Per-tenant runtime state. Move-only: jobs carry a promise, so the
+  // queues (and therefore the runtime) cannot be copied.
   struct TenantRuntime {
     TenantRuntime(TenantConfig config_in, common::TokenBucket bucket_in)
         : config(std::move(config_in)), bucket(std::move(bucket_in)) {}
@@ -296,12 +296,12 @@ class SvdServer {
   };
 
   void worker_loop(std::size_t worker_index);
-  // Legacy solo execution (also the QoS solo path): the retry loop,
-  // breaker gating, deadline handling.
+  // Solo execution: the retry loop, breaker gating, deadline handling.
   Response execute(Job& job, common::CancelToken& token);
-  // QoS dispatch of one popped job + coalesced extras.
-  void service_qos(std::size_t worker_index, Job primary,
-                   std::vector<Job> extras);
+  // Dispatch of one popped job + coalesced extras: expiry and cache
+  // probes, then execute() for one job or execute_coalesced() for more.
+  void dispatch(std::size_t worker_index, Job primary,
+                std::vector<Job> extras);
   void execute_coalesced(std::size_t worker_index, std::vector<Job> jobs);
   accel::HeteroSvdConfig config_for_shape(std::size_t rows, std::size_t cols);
 
@@ -321,9 +321,10 @@ class SvdServer {
   void maybe_preempt_locked(int incoming_band);
   bool cacheable(const Job& job) const;
 
-  void set_breaker_gauge();
+  // Counts breaker trips not yet published and sets the state gauge.
+  void publish_breaker();
   void set_depth_gauge_locked();
-  void count(const char* name, std::uint64_t delta = 1);
+  void count(const std::string& name, std::uint64_t delta = 1);
   void count_tenant(std::size_t tenant_index, const char* suffix);
   void gauge(const char* name, double value);
   void observe(const std::string& name, double value);
@@ -332,12 +333,10 @@ class SvdServer {
   common::Clock* clock_;
   CircuitBreaker breaker_;
   std::uint64_t last_trips_ = 0;  // for the serve.breaker.trips counter
-  const bool qos_enabled_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Job> queue_;                 // legacy single FIFO
-  std::vector<TenantRuntime> tenants_;    // QoS per-tenant queues
+  std::vector<TenantRuntime> tenants_;    // per-tenant queues
   std::vector<DeficitRoundRobin> drr_;    // one per priority band
   std::vector<WorkerSlot> running_;       // indexed by worker
   std::size_t idle_workers_ = 0;

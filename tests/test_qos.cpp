@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +115,17 @@ TEST(QosBucket, NonMonotonicNowRefillsNothing) {
   EXPECT_FALSE(bucket.try_acquire(5.0));
   EXPECT_FALSE(bucket.try_acquire(10.0));
   EXPECT_TRUE(bucket.try_acquire(11.0));
+}
+
+TEST(QosBucket, InfiniteRateAndBurstAdmitEveryAcquisition) {
+  // The implicit "default" tenant of a server configured without
+  // tenants carries this bucket: it never sheds.
+  const double inf = std::numeric_limits<double>::infinity();
+  TokenBucket bucket(inf, inf, 0.0);
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(bucket.try_acquire(0.0));
+  EXPECT_TRUE(bucket.try_acquire(1e-9));
+  EXPECT_TRUE(bucket.try_acquire(5.0));
+  EXPECT_EQ(bucket.available(5.0), inf);
 }
 
 // --------------------------------------------------------- fair share
@@ -329,26 +341,70 @@ TEST(QosServer, QuotaShedsOnlyTheOfferingTenant) {
 }
 
 TEST(QosServer, UnknownTenantIsShedAtAdmission) {
+  // An explicit "default" tenant, and a server configured without
+  // tenants, which gets an implicit one.
+  for (const bool explicit_default : {true, false}) {
+    SCOPED_TRACE(explicit_default ? "explicit default" : "no tenants");
+    FakeClock clock;
+    ServerOptions options;
+    options.workers = 1;
+    options.svd.config = small_config();
+    options.clock = &clock;
+    if (explicit_default) options.qos.tenants = {tenant("default")};
+    SvdServer server(options);
+
+    for (const char* name : {"stranger", "alpha"}) {
+      Request request;
+      request.matrix = small_matrix(1);
+      request.tenant = name;
+      const Response response = server.serve(std::move(request));
+      EXPECT_EQ(response.status, ServeStatus::kShed);
+      EXPECT_NE(response.message.find("unknown tenant"), std::string::npos);
+    }
+    EXPECT_EQ(server.stats().unknown_tenant, 2u);
+
+    // Untagged requests map to the "default" tenant.
+    Request untagged;
+    untagged.matrix = small_matrix(2);
+    const Response served = server.serve(std::move(untagged));
+    EXPECT_EQ(served.status, ServeStatus::kOk);
+    EXPECT_EQ(served.tenant, "default");
+  }
+}
+
+TEST(QosServer, ServerWithoutTenantsAdmitsEverythingInSubmissionOrder) {
+  // No tenants configured: the implicit "default" tenant has no quota,
+  // so 80 untagged submissions (more than a finite tenant's default
+  // burst of 64) are all admitted and dispatched first in, first out.
   FakeClock clock;
   ServerOptions options;
+  options.queue_capacity = 100;
   options.workers = 1;
   options.svd.config = small_config();
+  options.svd.want_v = false;
   options.clock = &clock;
-  options.qos.tenants = {tenant("default")};
+  options.start_paused = true;
   SvdServer server(options);
 
-  Request request;
-  request.matrix = small_matrix(1);
-  request.tenant = "stranger";
-  const Response response = server.serve(std::move(request));
-  EXPECT_EQ(response.status, ServeStatus::kShed);
-  EXPECT_NE(response.message.find("unknown tenant"), std::string::npos);
-  EXPECT_EQ(server.stats().unknown_tenant, 1u);
-
-  // Untagged requests map to the "default" tenant.
-  Request untagged;
-  untagged.matrix = small_matrix(2);
-  EXPECT_EQ(server.serve(std::move(untagged)).status, ServeStatus::kOk);
+  std::vector<std::future<Response>> futures;
+  for (std::uint64_t i = 0; i < 80; ++i) {
+    Request request;
+    request.matrix = small_matrix(400 + i % 4);
+    futures.push_back(server.submit(std::move(request)));
+  }
+  EXPECT_EQ(server.stats().shed, 0u);
+  EXPECT_EQ(server.stats().admitted, 80u);
+  server.resume();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Response r = futures[i].get();
+    EXPECT_EQ(r.status, ServeStatus::kOk);
+    EXPECT_EQ(r.dispatch_ordinal, i + 1);
+    EXPECT_EQ(r.tenant, "default");
+  }
+  const serve::ServerStats stats = server.stats();
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants.at("default").ok, 80u);
+  EXPECT_EQ(stats.shed, 0u);
 }
 
 // ------------------------------------------------- server: fair share
@@ -552,9 +608,10 @@ TEST(QosServer, DuplicateMatrixIsServedFromCacheBitIdentically) {
 }
 
 TEST(QosServer, QosPathWithCacheOffMatchesLegacyServerBitIdentically) {
-  // The whole QoS layer disabled feature by feature (no cache, no
-  // coalescing, preemption irrelevant on one band) must produce the
-  // same bits as the legacy single-FIFO server.
+  // An explicit "default" tenant (no cache, no coalescing, preemption
+  // irrelevant on one band) must produce the same bits as a server
+  // configured without tenants, which runs an implicit unlimited
+  // "default" tenant.
   FakeClock clock_a;
   ServerOptions legacy;
   legacy.workers = 1;

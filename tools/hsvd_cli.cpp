@@ -37,8 +37,10 @@
 //              [--scenario NAME] [--top-k K] <in1> [in2 ...]
 //       Push the matrices through an in-process serving instance with
 //       the multi-tenant QoS layer: requests are assigned to the
-//       configured tenants round-robin (SPEC is
-//       name[:weight[:rate[:burst]]]), coalesced into shape-bucketed
+//       --tenant tenants round-robin (SPEC is
+//       name[:weight[:rate[:burst]]]); without --tenant every request
+//       goes to one "default" tenant with an unlimited quota, so none
+//       is shed by quota. Requests are coalesced into shape-bucketed
 //       micro-batches, and answered from the digest-keyed result cache
 //       when --cache is on. --backend routes every request through the
 //       backend router ("auto", "auto:latency:0.005", or a pin like
@@ -613,9 +615,7 @@ int cmd_serve(int argc, char** argv) {
   options.svd.threads = g_threads;
   options.svd.shards = g_shards;
   options.svd.verify = vpolicy;
-  options.qos.tenants = tenants.empty()
-                            ? std::vector<serve::TenantConfig>{{"default"}}
-                            : tenants;
+  options.qos.tenants = tenants;
   options.qos.coalesce_max_batch = coalesce < 1 ? 1 : coalesce;
   options.qos.coalesce_window_seconds = window_ms / 1e3;
   options.qos.cache_enabled = cache > 0;
@@ -627,7 +627,7 @@ int cmd_serve(int argc, char** argv) {
   for (std::size_t i = 0; i < files.size(); ++i) {
     serve::Request request;
     request.matrix = matrices[i];
-    request.tenant = options.qos.tenants[i % options.qos.tenants.size()].name;
+    if (!tenants.empty()) request.tenant = tenants[i % tenants.size()].name;
     request.priority = priority;
     if (backend_set) {
       request.backend = backend_spec.backend;

@@ -68,8 +68,10 @@
 //                 serving layer is the point of the soak -- raise it to
 //                 watch the accelerator absorb faults itself instead).
 //
-// Multi-tenant QoS scenario (active once at least one --tenant is
-// given; see serve/qos.hpp):
+// Multi-tenant QoS scenario (see serve/qos.hpp). The tenant, fairness
+// and priority flags act once at least one --tenant is given; without
+// one every request goes to the server's unlimited "default" tenant.
+// --dup, --cache and --coalesce work either way.
 //
 // --tenant SPEC        name[:weight[:rate[:burst]]], repeatable.
 // --bursty-tenant NAME requests are offered round-robin, one slot per
@@ -467,13 +469,11 @@ int main(int argc, char** argv) {
   // (verify.*) and health-ledger (route.health.*) counters land in the
   // exported --metrics JSON alongside the serve.* counters.
   options.svd.observer = &observer;
-  if (qos_mode) {
-    options.qos.tenants = tenants;
-    options.qos.coalesce_max_batch = coalesce < 1 ? 1 : coalesce;
-    options.qos.coalesce_window_seconds = coalesce_window_ms / 1e3;
-    options.qos.cache_enabled = cache_capacity > 0;
-    options.qos.cache_capacity = cache_capacity > 0 ? cache_capacity : 64;
-  }
+  options.qos.tenants = tenants;
+  options.qos.coalesce_max_batch = coalesce < 1 ? 1 : coalesce;
+  options.qos.coalesce_window_seconds = coalesce_window_ms / 1e3;
+  options.qos.cache_enabled = cache_capacity > 0;
+  options.qos.cache_capacity = cache_capacity > 0 ? cache_capacity : 64;
 
   // Injectors must outlive the server (requests reference them raw).
   std::vector<std::unique_ptr<versal::FaultInjector>> injectors;
