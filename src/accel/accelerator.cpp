@@ -15,20 +15,36 @@ namespace hsvd::accel {
 
 namespace {
 
-std::string column_key(int task_id, int global_col) {
-  return cat("c", global_col, ".t", task_id);
+versal::BufferId column_buffer(int task_id, int global_col) {
+  return {static_cast<std::uint32_t>(task_id),
+          static_cast<std::uint32_t>(global_col), false};
 }
 
-// True when `key` ("c<col>.t<id>" or "c<col>.t<id>#dma") belongs to the
-// given task id. Exact-match parse: ".t1" must not claim ".t12" keys.
-bool key_belongs_to_task(const std::string& key, int task_id) {
-  const std::size_t at = key.rfind(".t");
-  if (at == std::string::npos) return false;
-  std::string id = key.substr(at + 2);
-  const std::size_t shadow = id.find('#');
-  if (shadow != std::string::npos) id = id.substr(0, shadow);
-  return id == std::to_string(task_id);
-}
+// Lets the SystemModule make the stop and watchdog decisions of the host
+// sweep loop (Algorithm 1 lines 15-16).
+class SystemMonitor final : public jacobi::SweepMonitor {
+ public:
+  SystemMonitor(SystemModule& system, bool precision_mode)
+      : system_(system), precision_mode_(precision_mode) {}
+
+  void begin_sweep() override { system_.begin_iteration(); }
+  void observe(double coherence) override { system_.observe_pair(coherence); }
+  bool end_sweep() override {
+    system_.end_iteration();
+    if (system_.should_terminate(precision_mode_)) return true;
+    // Convergence watchdog: a sweep stream whose off-diagonal coherence
+    // has stopped decreasing will not reach the target; stop burning
+    // sweeps and surface kNotConverged instead.
+    stalled_ = precision_mode_ && system_.stalled();
+    return stalled_;
+  }
+  bool stalled() const { return stalled_; }
+
+ private:
+  SystemModule& system_;
+  bool precision_mode_;
+  bool stalled_ = false;
+};
 
 }  // namespace
 
@@ -62,72 +78,70 @@ void settle_after_recovery(RunResult& result) {
       result.batch_seconds > 0.0 ? completed / result.batch_seconds : 0.0;
 }
 
-TaskFrame::TaskFrame(const HeteroSvdConfig& config,
-                     const linalg::MatrixF* matrix)
-    : functional_(matrix != nullptr),
-      cols_(config.cols),
-      precision_(config.precision),
-      max_sweeps_(config.precision.has_value() && matrix != nullptr
-                      ? std::max(config.iterations, 30)
-                      : config.iterations),
-      system_(config.precision.value_or(0.0)) {
-  if (!functional_) return;
-  HSVD_REQUIRE(matrix->rows() == config.rows && matrix->cols() == config.cols,
+TaskResult solve_task(const HeteroSvdConfig& config,
+                      const jacobi::PairSequence& sequence,
+                      const linalg::MatrixF& matrix) {
+  HSVD_REQUIRE(matrix.rows() == config.rows && matrix.cols() == config.cols,
                "matrix shape does not match the accelerator configuration");
-  b_ = linalg::MatrixF(config.rows, config.padded_cols());
-  b_.assign_cols(0, *matrix);
-  sigma_.resize(config.padded_cols());
-}
+  linalg::MatrixF b(config.rows, config.padded_cols());
+  b.assign_cols(0, matrix);
 
-void TaskFrame::begin_sweep() {
-  system_.begin_iteration();
-  if (functional_) jacobi::refresh_norms(b_, colnorm_);
-}
-
-bool TaskFrame::end_sweep() {
-  ++sweeps_;
-  if (!functional_) return false;
-  system_.end_iteration();
-  if (system_.should_terminate(precision_.has_value())) return true;
-  // Convergence watchdog: a sweep stream whose off-diagonal coherence has
-  // stopped decreasing will not reach the target; stop burning sweeps and
-  // surface kNotConverged instead.
-  stalled_ = precision_.has_value() && system_.stalled();
-  return stalled_;
-}
-
-void TaskFrame::finish(TaskResult& result) const {
-  result.iterations = sweeps_;
-  result.convergence_rate = system_.convergence_rate();
-  result.watchdog_stalled = stalled_;
-  if (!functional_) return;
-  if (precision_.has_value()) {
-    result.converged = system_.should_terminate(true);
+  // Sweep cap: the fixed iteration count, raised to 30 when a precision
+  // target decides termination.
+  const bool precision_mode = config.precision.has_value();
+  jacobi::SweepOptions opts;
+  opts.max_sweeps =
+      precision_mode ? std::max(config.iterations, 30) : config.iterations;
+  SystemModule system(config.precision.value_or(0.0));
+  SystemMonitor monitor(system, precision_mode);
+  TaskResult result;
+  try {
+    result.iterations =
+        jacobi::run_sweeps(b, nullptr, sequence, opts, &monitor).sweeps;
+  } catch (const hsvd::InputError& e) {
+    throw hsvd::FaultDetected(e.what());
+  }
+  result.convergence_rate = system.convergence_rate();
+  result.watchdog_stalled = monitor.stalled();
+  if (precision_mode) {
+    result.converged = system.should_terminate(true);
     if (!result.converged) {
       result.status = hsvd::SvdStatus::kNotConverged;
-      result.message = stalled_
-                           ? cat("convergence watchdog: coherence stalled at ",
-                                 sci(system_.convergence_rate()), " for ",
-                                 SystemModule::stall_limit(), " sweeps")
-                           : cat("sweep budget exhausted at coherence ",
-                                 sci(system_.convergence_rate()));
+      result.message =
+          monitor.stalled()
+              ? cat("convergence watchdog: coherence stalled at ",
+                    sci(system.convergence_rate()), " for ",
+                    SystemModule::stall_limit(), " sweeps")
+              : cat("sweep budget exhausted at coherence ",
+                    sci(system.convergence_rate()));
+    }
+  }
+
+  // Normalization stage (lines 19-25 of Algorithm 1).
+  std::vector<float> sigma(b.cols());
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    sigma[j] = norm_kernel(b.col(j)).sigma;
+    if (!std::isfinite(sigma[j])) {
+      throw hsvd::FaultDetected(cat("norm kernel produced a non-finite "
+                                    "singular value for column ", j));
     }
   }
   // Sort factors by descending singular value (done on the PS side in the
   // paper's system; negligible next to the accelerator time). The
   // zero-padded columns have sigma = 0, sort last, and are truncated.
-  std::vector<std::size_t> order(sigma_.size());
+  std::vector<std::size_t> order(sigma.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return sigma_[x] > sigma_[y];
+    return sigma[x] > sigma[y];
   });
-  result.u = linalg::MatrixF(b_.rows(), cols_);
-  result.sigma.resize(cols_);
-  for (std::size_t t = 0; t < cols_; ++t) {
-    result.sigma[t] = sigma_[order[t]];
-    const auto src = b_.col(order[t]);
+  result.u = linalg::MatrixF(b.rows(), config.cols);
+  result.sigma.resize(config.cols);
+  for (std::size_t t = 0; t < config.cols; ++t) {
+    result.sigma[t] = sigma[order[t]];
+    const auto src = b.col(order[t]);
     std::copy(src.begin(), src.end(), result.u.col(t).begin());
   }
+  return result;
 }
 
 HeteroSvdAccelerator::HeteroSvdAccelerator(const HeteroSvdConfig& config)
@@ -175,6 +189,9 @@ void HeteroSvdAccelerator::rebuild() {
     slot_schedules_.push_back(std::move(schedule));
   }
   block_rounds_ = jacobi::block_pair_rounds(config_.blocks());
+  sequence_ = jacobi::block_sequence(config_.ordering,
+                                     static_cast<int>(config_.padded_cols()),
+                                     config_.p_eng);
 
   const double plio_rate_tx =
       std::min(plio_model_.plio_bits / 8.0 * config_.pl_frequency_hz,
@@ -248,14 +265,12 @@ const DataflowPlan& HeteroSvdAccelerator::dataflow(std::size_t task_slot) const 
 
 void HeteroSvdAccelerator::purge_task_buffers(int slot, int task_id) {
   const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
-  const auto drop = [task_id](const std::string& key) {
-    return key_belongs_to_task(key, task_id);
-  };
+  const auto id = static_cast<std::uint32_t>(task_id);
   for (const auto& layer : task.orth) {
-    for (const auto& tile : layer) array_->memory(tile).erase_if(drop);
+    for (const auto& tile : layer) array_->memory(tile).erase_task(id);
   }
-  for (const auto& tile : task.mem) array_->memory(tile).erase_if(drop);
-  for (const auto& tile : task.norm) array_->memory(tile).erase_if(drop);
+  for (const auto& tile : task.mem) array_->memory(tile).erase_task(id);
+  for (const auto& tile : task.norm) array_->memory(tile).erase_task(id);
 }
 
 double HeteroSvdAccelerator::stage_from_ddr(int slot, double when,
@@ -287,9 +302,7 @@ void HeteroSvdAccelerator::reset_timelines() {
 }
 
 HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
-    int slot, int task_id, int bu, int bv, double launch, linalg::MatrixF* b,
-    std::vector<float>* colnorm, SystemModule& system) {
-  const bool functional = b != nullptr;
+    int slot, int task_id, int bu, int bv, double launch) {
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
   const int layers = config_.orth_layers();
@@ -297,7 +310,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   const auto& schedule = slot_schedules_[static_cast<std::size_t>(slot)];
   const auto& plan = dataflows_[static_cast<std::size_t>(slot)];
   auto& ch = *channels_[static_cast<std::size_t>(slot)];
-  const double col_bytes = static_cast<double>(m) * sizeof(float);
+  const std::uint64_t col_bytes = m * sizeof(float);
   const double t_orth = kernels_.orth_seconds(m);
 
   // ---- Tx: both blocks of the pair over their own PLIOs ---------
@@ -309,23 +322,12 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   }
   const auto round0 = jacobi::slot_map(schedule, 0);
   std::vector<double> arrival(static_cast<std::size_t>(2 * k));
-  // Checksums stamped on outgoing columns by the PL sender; the Rx
-  // boundary recomputes them to catch in-fabric corruption.
-  std::vector<std::uint64_t> sent_crc(static_cast<std::size_t>(2 * k), 0);
   for (int c = 0; c < 2 * k; ++c) {
-    std::vector<float> payload;
-    if (functional) {
-      auto col = b->col(static_cast<std::size_t>(global[static_cast<std::size_t>(c)]));
-      payload.assign(col.begin(), col.end());
-      sent_crc[static_cast<std::size_t>(c)] =
-          versal::buffer_checksum(payload);
-    }
     arrival[static_cast<std::size_t>(c)] = ch.sender->send_column(
         c < k ? 0 : 1,
         static_cast<std::uint32_t>(round0[static_cast<std::size_t>(c)].slot),
         static_cast<std::uint32_t>(global[static_cast<std::size_t>(c)]),
-        static_cast<std::uint32_t>(task_id), launch, std::move(payload),
-        static_cast<std::uint64_t>(col_bytes));
+        static_cast<std::uint32_t>(task_id), launch, col_bytes);
   }
 
   // ---- Orthogonalization through the layer pipeline -------------
@@ -344,68 +346,43 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                                 " hung during orthogonalization"),
                             tile.row, tile.col, in_ready);
       }
-      if (functional) {
-        const int gl = global[static_cast<std::size_t>(pair.left)];
-        const int gr = global[static_cast<std::size_t>(pair.right)];
-        auto& mem = array_->memory(tile);
-        if (!mem.contains(column_key(task_id, gl)) ||
-            !mem.contains(column_key(task_id, gr))) {
-          throw FaultDetected(
-              cat("tile ", versal::to_string(tile),
-                  " is missing an input column (payload lost in "
-                  "transit)"),
-              tile.row, tile.col, end);
-        }
-        const auto r = jacobi::rotate_pair(
-            b->col(static_cast<std::size_t>(gl)),
-            b->col(static_cast<std::size_t>(gr)),
-            (*colnorm)[static_cast<std::size_t>(gl)],
-            (*colnorm)[static_cast<std::size_t>(gr)]);
-        // Injected faults corrupt only tile-memory payload copies, and
-        // the rotation runs on the host matrix, so a non-finite
-        // coherence comes from the input data (e.g. fp32 overflow of
-        // the Gram entries). No tile is blamed: masking cannot help.
-        if (!std::isfinite(r.coherence)) {
-          throw FaultDetected(
-              cat("orth kernel on tile ", versal::to_string(tile),
-                  " produced a non-finite coherence"),
-              end);
-        }
-        system.observe_pair(r.coherence);
+      const auto& mem = array_->memory(tile);
+      if (!mem.contains(column_buffer(
+              task_id, global[static_cast<std::size_t>(pair.left)])) ||
+          !mem.contains(column_buffer(
+              task_id, global[static_cast<std::size_t>(pair.right)]))) {
+        throw FaultDetected(
+            cat("tile ", versal::to_string(tile),
+                " is missing an input column (payload lost in transit)"),
+            tile.row, tile.col, end);
       }
       arrival[static_cast<std::size_t>(pair.left)] = end;
       arrival[static_cast<std::size_t>(pair.right)] = end;
     }
     if (l + 1 < layers) {
       for (const auto& mv : plan.transitions[static_cast<std::size_t>(l)].moves) {
-        const std::string key =
-            column_key(task_id, global[static_cast<std::size_t>(mv.column)]);
+        const versal::BufferId id =
+            column_buffer(task_id, global[static_cast<std::size_t>(mv.column)]);
         if (!mv.is_dma) {
-          array_->neighbour_move(mv.src, mv.dst, key,
-                                 static_cast<std::uint64_t>(col_bytes));
-        } else {
-          const double done = array_->dma_move(
-              mv.src, mv.dst, key,
-              arrival[static_cast<std::size_t>(mv.column)],
-              static_cast<std::uint64_t>(col_bytes));
-          arrival[static_cast<std::size_t>(mv.column)] = done;
-          if (functional) {
-            // Resolve the DMA shadow: the consumer's copy becomes
-            // the live buffer, the producer's original is released.
-            auto& src_mem = array_->memory(mv.src);
-            auto& dst_mem = array_->memory(mv.dst);
-            if (!dst_mem.contains(key + "#dma")) {
-              throw FaultDetected(
-                  cat("DMA of ", key, " out of ",
-                      versal::to_string(mv.src), " lost its payload"),
-                  mv.src.row, mv.src.col, done);
-            }
-            std::vector<float> data = dst_mem.load(key + "#dma");
-            dst_mem.erase(key + "#dma");
-            src_mem.erase(key);
-            dst_mem.store(key, std::move(data));
-          }
+          array_->neighbour_move(mv.src, mv.dst, id);
+          continue;
         }
+        const double done = array_->dma_move(
+            mv.src, mv.dst, id, arrival[static_cast<std::size_t>(mv.column)]);
+        arrival[static_cast<std::size_t>(mv.column)] = done;
+        // Resolve the DMA shadow: the consumer's copy becomes the live
+        // buffer, the producer's original is released.
+        auto& dst_mem = array_->memory(mv.dst);
+        const versal::BufferId shadow{id.task, id.column, true};
+        if (!dst_mem.contains(shadow)) {
+          throw FaultDetected(cat("DMA of ", versal::to_string(id), " out of ",
+                                  versal::to_string(mv.src),
+                                  " lost its payload"),
+                              mv.src.row, mv.src.col, done);
+        }
+        versal::BufferRecord record = dst_mem.take(shadow);
+        array_->memory(mv.src).erase(id);
+        dst_mem.store(id, std::move(record));
       }
     }
   }
@@ -415,30 +392,28 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   PairCompletion completion;
   for (int c = 0; c < 2 * k; ++c) {
     const double done = ch.receiver->receive_column(
-        c < k ? 0 : 1, arrival[static_cast<std::size_t>(c)], col_bytes);
-    if (functional) {
-      const versal::TileCoord tile =
-          task.orth[schedule.size() - 1]
-                   [static_cast<std::size_t>(last[static_cast<std::size_t>(c)].slot)];
-      const std::string key =
-          column_key(task_id, global[static_cast<std::size_t>(c)]);
-      auto& mem = array_->memory(tile);
-      if (!mem.contains(key)) {
-        throw FaultDetected(cat("column ", key, " never reached tile ",
-                                versal::to_string(tile), " for Rx"),
-                            tile.row, tile.col, done);
-      }
-      // Rx boundary integrity check: the fabric only routed this
-      // buffer, so its checksum must still match what the sender
-      // stamped; a mismatch is an in-fabric SEU.
-      if (versal::buffer_checksum(mem.load(key)) !=
-          sent_crc[static_cast<std::size_t>(c)]) {
-        throw FaultDetected(cat("checksum mismatch on ", key,
-                                " at tile ", versal::to_string(tile),
-                                " (corrupted in the fabric)"),
-                            tile.row, tile.col, done);
-      }
-      mem.erase(key);
+        c < k ? 0 : 1, arrival[static_cast<std::size_t>(c)],
+        static_cast<double>(col_bytes));
+    const versal::TileCoord tile =
+        task.orth[schedule.size() - 1]
+                 [static_cast<std::size_t>(last[static_cast<std::size_t>(c)].slot)];
+    const versal::BufferId id =
+        column_buffer(task_id, global[static_cast<std::size_t>(c)]);
+    auto& mem = array_->memory(tile);
+    if (!mem.contains(id)) {
+      throw FaultDetected(cat("column ", versal::to_string(id),
+                              " never reached tile ", versal::to_string(tile),
+                              " for Rx"),
+                          tile.row, tile.col, done);
+    }
+    // Rx boundary integrity check: the fabric only routed this buffer,
+    // so it must still be what the sender stamped; an injected flip that
+    // survived the trip is an in-fabric SEU.
+    if (mem.take(id).corrupted()) {
+      throw FaultDetected(cat("checksum mismatch on ", versal::to_string(id),
+                              " at tile ", versal::to_string(tile),
+                              " (corrupted in the fabric)"),
+                          tile.row, tile.col, done);
     }
     (c < k ? completion.done_u : completion.done_v) =
         std::max(c < k ? completion.done_u : completion.done_v, done);
@@ -446,10 +421,8 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   return completion;
 }
 
-double HeteroSvdAccelerator::execute_norm_block(
-    int slot, int blk, double ready, linalg::MatrixF* b,
-    std::vector<float>* sigma) {
-  const bool functional = b != nullptr;
+double HeteroSvdAccelerator::execute_norm_block(int slot, int blk,
+                                                double ready) {
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
   const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
@@ -491,32 +464,15 @@ double HeteroSvdAccelerator::execute_norm_block(
       }
     }
     blk_done = std::max(blk_done, rx_done);
-    if (functional) {
-      const std::size_t gc = static_cast<std::size_t>(blk * k + i);
-      (*sigma)[gc] = norm_kernel(b->col(gc)).sigma;
-      // Data-caused, like the orth kernel's coherence guard: no tile is
-      // blamed.
-      if (!std::isfinite((*sigma)[gc])) {
-        throw FaultDetected(cat("norm kernel on tile ",
-                                versal::to_string(tile),
-                                " produced a non-finite singular value"),
-                            rx_done);
-      }
-    }
   }
   return blk_done;
 }
 
-TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
-                                              const linalg::MatrixF* matrix,
-                                              int task_id) {
+double HeteroSvdAccelerator::execute_task(int slot, double ready, int sweeps,
+                                          int task_id) {
   const int p = config_.blocks();
   const double block_bytes =
       static_cast<double>(config_.rows) * sizeof(float) * config_.p_eng;
-
-  TaskResult result;
-  result.start_seconds = ready;
-  TaskFrame frame(config_, matrix);
 
   // Stage DDR -> PL URAM buffers, one block at a time (eq. (12)), via
   // the NoC DDRMC port wired to this task slot.
@@ -527,7 +483,7 @@ TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
       p, block_bytes);
   arrangement.stage_from_ddr(ready);
 
-  for (int iter = 0; iter < frame.max_sweeps(); ++iter) {
+  for (int iter = 0; iter < sweeps; ++iter) {
     // Sweep-barrier cancellation point: a deadline or a preemption
     // cancel lands between sweeps, where no rotation is in flight, and
     // the purge leaves the fabric as if the task never ran. The task
@@ -538,42 +494,35 @@ TaskResult HeteroSvdAccelerator::execute_task(int slot, double ready,
           cat(cancel_->cancelled() ? "cancelled" : "deadline expired",
               " at sweep barrier ", iter, " of task ", task_id));
     }
-    frame.begin_sweep();
     for (const auto& round : block_rounds_) {
       for (const auto& [bu, bv] : round) {
         const double launch = std::max(arrangement.block_ready(bu),
                                        arrangement.block_ready(bv)) +
                               hls_overhead_s_;
         const PairCompletion done =
-            execute_block_pair(slot, task_id, bu, bv, launch, frame.b(),
-                               frame.colnorm(), frame.system());
+            execute_block_pair(slot, task_id, bu, bv, launch);
         arrangement.set_block_ready(bu, done.done_u);
         arrangement.set_block_ready(bv, done.done_v);
       }
     }
-    if (frame.end_sweep()) break;
   }
 
   // ---- Normalization stage (lines 19-25 of Algorithm 1) ----------------
   double task_end = 0.0;
   for (int blk = 0; blk < p; ++blk) {
-    const double blk_done = execute_norm_block(
-        slot, blk, arrangement.block_ready(blk) + hls_overhead_s_, frame.b(),
-        frame.sigma());
-    task_end = std::max(task_end, blk_done);
+    task_end = std::max(
+        task_end,
+        execute_norm_block(slot, blk, arrangement.block_ready(blk) + hls_overhead_s_));
   }
 
-  result.end_seconds = task_end;
   if (obs_ != nullptr) {
     obs_->metrics().add("sim.tasks.completed");
     if (obs::Tracer* tr = obs_->tracer()) {
       tr->span(obs::Domain::kSim, cat("slot", slot), cat("task", task_id),
-               "task", result.start_seconds,
-               result.end_seconds - result.start_seconds);
+               "task", ready, task_end - ready);
     }
   }
-  frame.finish(result);
-  return result;
+  return task_end;
 }
 
 RunResult HeteroSvdAccelerator::execute_batch(
@@ -606,11 +555,16 @@ RunResult HeteroSvdAccelerator::execute_batch(
           cat(cancel_->cancelled() ? "cancelled" : "deadline expired",
               " before task ", t, " on slot ", slot));
     }
-    const linalg::MatrixF* matrix =
-        batch != nullptr ? &(*batch)[static_cast<std::size_t>(t)] : nullptr;
     TaskResult task;
     try {
-      task = execute_task(slot, slot_free, matrix, base_id + t);
+      if (batch != nullptr) {
+        task = solve_task(config_, sequence_, (*batch)[static_cast<std::size_t>(t)]);
+      } else {
+        task.iterations = config_.iterations;
+      }
+      task.start_seconds = slot_free;
+      task.end_seconds =
+          execute_task(slot, slot_free, task.iterations, base_id + t);
       slot_free = task.end_seconds;
     } catch (const hsvd::FaultDetected& e) {
       task = TaskResult::failed(e, slot_free);

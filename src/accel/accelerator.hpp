@@ -1,13 +1,21 @@
-// The HeteroSVD accelerator: functional + cycle-approximate execution of
-// Algorithm 1 on the simulated Versal fabric.
+// The HeteroSVD accelerator: Algorithm 1 on the simulated Versal fabric,
+// as a host data plane plus a cycle-approximate walk of the fabric.
 //
 // One instance owns an AIE array simulator, a placement, per-task PLIO
-// channels and the classified dataflow. run() executes a batch of
-// matrices functionally (real arithmetic flows through the simulated
-// tiles, so routing bugs corrupt results and are caught by tests);
-// estimate() executes the identical control/timing path without payloads
-// for large problem sizes (the paper fixes the iteration count in its
-// comparisons, so timing is data-independent).
+// channels and the classified dataflow. The fabric's timing depends on
+// the data only through the sweep count (the paper's model, eqs.
+// (8)-(14)), so the two are computed apart:
+//   - the data plane (solve_task) sweeps the zero-padded input on the
+//     host with jacobi::run_sweeps over the fabric's own pair order,
+//     block_sequence(), while the SystemModule decides when to stop;
+//   - the walk (execute_task) drives every Tx packet, orth/norm kernel,
+//     neighbour move, DMA and Rx transfer of that many sweeps through
+//     the simulator, moving buffer records -- byte counts plus injected
+//     bit flips -- through the tile memories, so capacity checks, fault
+//     injection and the detection points see every buffer the silicon
+//     would hold.
+// run() is the data plane followed by the walk; estimate() is the walk
+// at config.iterations sweeps.
 #pragma once
 
 #include <memory>
@@ -21,6 +29,7 @@
 #include "accel/dataflow.hpp"
 #include "accel/placement.hpp"
 #include "accel/pl_modules.hpp"
+#include "jacobi/sweep.hpp"
 #include "linalg/matrix.hpp"
 #include "perfmodel/aie_timing.hpp"
 #include "perfmodel/resource_model.hpp"
@@ -30,8 +39,8 @@
 namespace hsvd::accel {
 
 struct TaskResult {
-  linalg::MatrixF u;          // rows x cols (empty in timing-only mode)
-  std::vector<float> sigma;   // descending  (empty in timing-only mode)
+  linalg::MatrixF u;          // rows x cols (empty from estimate())
+  std::vector<float> sigma;   // descending  (empty from estimate())
   int iterations = 0;
   double convergence_rate = 0.0;
   double start_seconds = 0.0;
@@ -79,69 +88,42 @@ struct RunResult {
 // keeps its numbers untouched.
 void settle_after_recovery(RunResult& result);
 
-// The per-task state every task loop shares (single-array and sharded):
-// the input zero-padded to whole blocks (zero columns are fixed points of
-// the rotations and drop out after normalization), its Gram-norm cache,
-// the SystemModule that decides when to leave the orthogonalization
-// stage, and the sort-and-truncate of the normalized factors. In
-// timing-only mode (no matrix) the data accessors return null and only
-// the sweep count is tracked.
-class TaskFrame {
- public:
-  TaskFrame(const HeteroSvdConfig& config, const linalg::MatrixF* matrix);
-
-  linalg::MatrixF* b() { return functional_ ? &b_ : nullptr; }
-  std::vector<float>* colnorm() { return functional_ ? &colnorm_ : nullptr; }
-  std::vector<float>* sigma() { return functional_ ? &sigma_ : nullptr; }
-  SystemModule& system() { return system_; }
-  // Sweep cap: the fixed iteration count, raised to 30 when a precision
-  // target decides termination.
-  int max_sweeps() const { return max_sweeps_; }
-
-  // Opens a sweep: clears its coherence maximum and refreshes the norm
-  // cache from the columns, bounding float drift to one sweep.
-  void begin_sweep();
-  // Closes a sweep. True when the task leaves the orthogonalization
-  // stage: the precision target is met, or the convergence watchdog saw
-  // the coherence stall.
-  bool end_sweep();
-  // Fills the sweep count and convergence outcome (kNotConverged with its
-  // diagnostic when the precision target was missed) and, in functional
-  // mode, the factors sorted by descending sigma and truncated to the
-  // input's columns. Expects sigma() filled by the normalization stage.
-  void finish(TaskResult& result) const;
-
- private:
-  bool functional_;
-  std::size_t cols_;
-  std::optional<double> precision_;
-  int max_sweeps_;
-  int sweeps_ = 0;
-  bool stalled_ = false;
-  SystemModule system_;
-  linalg::MatrixF b_;
-  std::vector<float> colnorm_;
-  std::vector<float> sigma_;
-};
+// The data plane of one task: zero-pads `matrix` to whole blocks (zero
+// columns are fixed points of the rotations and drop out after
+// normalization), sweeps it with jacobi::run_sweeps over `sequence` --
+// the fabric's pair order -- while a SystemModule makes the stop and
+// watchdog decisions, normalizes, and returns the factors sorted by
+// descending sigma and truncated to the input's columns, with the sweep
+// count and convergence outcome (kNotConverged with its diagnostic when
+// a precision target is missed). Start and end times are left for the
+// walk. Throws hsvd::FaultDetected, with no tile attributed, when the
+// data overflows fp32: masking a tile cannot help.
+TaskResult solve_task(const HeteroSvdConfig& config,
+                      const jacobi::PairSequence& sequence,
+                      const linalg::MatrixF& matrix);
 
 class HeteroSvdAccelerator {
  public:
   explicit HeteroSvdAccelerator(const HeteroSvdConfig& config);
 
-  // Functional batch execution with per-task fault isolation. Every
-  // matrix must be rows x cols. A task whose execution trips a detection
-  // point (checksum mismatch, lost buffer, hung core, non-finite output)
-  // is recorded as SvdStatus::kFailed without disturbing the other
+  // Batch execution with per-task fault isolation. Every matrix must be
+  // rows x cols. A task whose data overflows fp32, or whose walk trips a
+  // detection point (corrupted or lost buffer, hung core), is recorded
+  // as SvdStatus::kFailed without disturbing the other
   // tasks; when the detection attributes a tile and
   // config().fault_retries allows, the accelerator masks the tile,
   // re-places the design on the healthy array (degrading P_task then
   // P_eng as needed) and re-runs only the failed tasks.
   RunResult run(const std::vector<linalg::MatrixF>& batch);
 
-  // Timing-only execution of `batch_size` tasks.
+  // The walk of `batch_size` tasks at config().iterations sweeps each:
+  // run()'s timeline, counters and capacity checks without the data.
   RunResult estimate(int batch_size);
 
   const HeteroSvdConfig& config() const { return config_; }
+  // The pair order the fabric sweeps: block_sequence(ordering,
+  // padded_cols, P_eng) of the current configuration.
+  const jacobi::PairSequence& pair_sequence() const { return sequence_; }
   // Attach a fault injector (not owned; nullptr detaches). PLIO
   // degradation faults are applied to the task slots' channels
   // immediately; tile-level faults fire from inside the array simulator.
@@ -189,23 +171,20 @@ class HeteroSvdAccelerator {
   // One DDR -> PL URAM staging transfer on the NoC port wired to `slot`.
   double stage_from_ddr(int slot, double when, double bytes);
 
-  // Executes one block pair (bu, bv) of task `task_id` on hardware slot
+  // Walks one block pair (bu, bv) of task `task_id` on hardware slot
   // `slot`, starting no earlier than `launch` (HLS loop-switch overhead
   // already included by the caller): Tx of both blocks over the slot's
   // two orth PLIOs, the (2k-1)-layer orthogonalization pipeline with its
-  // inter-layer moves, and Rx back into the PL buffers. `b` and
-  // `colnorm` are null in timing-only mode. Throws hsvd::FaultDetected
-  // at the same detection points as execute_task().
+  // inter-layer moves, and Rx back into the PL buffers. Throws
+  // hsvd::FaultDetected, blaming a tile, when a core hangs or a column
+  // buffer is lost or arrives at Rx carrying an injected bit flip.
   PairCompletion execute_block_pair(int slot, int task_id, int bu, int bv,
-                                    double launch, linalg::MatrixF* b,
-                                    std::vector<float>* colnorm,
-                                    SystemModule& system);
+                                    double launch);
 
-  // Executes the normalization of block `blk` (norm Tx at `ready`, k
-  // norm kernels, per-column Rx); returns when the block's results are
-  // back in the PL buffers. `b`/`sigma` are null in timing-only mode.
-  double execute_norm_block(int slot, int blk, double ready,
-                            linalg::MatrixF* b, std::vector<float>* sigma);
+  // Walks the normalization of block `blk` (norm Tx at `ready`, k norm
+  // kernels, per-column Rx); returns when the block's results are back
+  // in the PL buffers. Throws hsvd::FaultDetected when a core hangs.
+  double execute_norm_block(int slot, int blk, double ready);
 
   // Releases every buffer a failed task left in its slot's tile
   // memories, so later tasks on the same tiles start clean.
@@ -232,14 +211,17 @@ class HeteroSvdAccelerator {
   }
 
  private:
-  // Executes one task on hardware slot `slot`, starting no earlier than
-  // `ready`. `matrix` is null in timing-only mode. `task_id` tags the
-  // task's column buffers in tile memories; ids are assigned up front by
-  // execute_batch so slot chains can run on concurrent host threads.
-  // Throws hsvd::FaultDetected when a detection point fires.
-  TaskResult execute_task(int slot, double ready, const linalg::MatrixF* matrix,
-                          int task_id);
+  // Walks `sweeps` sweeps and the normalization of one task on hardware
+  // slot `slot`, starting no earlier than `ready`; returns the task's end
+  // time. `task_id` tags the task's column buffers in tile memories; ids
+  // are assigned up front by execute_batch so slot chains can run on
+  // concurrent host threads. Throws hsvd::FaultDetected when a detection
+  // point fires.
+  double execute_task(int slot, double ready, int sweeps, int task_id);
 
+  // Runs `batch_size` tasks: each one's data plane when `batch` is given
+  // (estimate() passes none and walks config_.iterations sweeps), then
+  // its walk.
   RunResult execute_batch(int batch_size,
                           const std::vector<linalg::MatrixF>* batch);
 
@@ -269,6 +251,7 @@ class HeteroSvdAccelerator {
   std::vector<DataflowPlan> dataflows_;                 // per task slot
   int next_task_id_ = 0;
   std::vector<std::vector<std::pair<int, int>>> block_rounds_;
+  jacobi::PairSequence sequence_;
   // Per task slot: 2 Tx + 2 Rx orth channels, 1 Tx + 1 Rx norm channel
   // (6 PLIOs, Table I), plus the PL modules of Fig. 2 wired to them.
   struct SlotChannels {

@@ -1,7 +1,7 @@
-// Functional AIE kernels: the arithmetic that runs on norm-AIEs. The
-// orth-AIEs run the host's own pair kernel, jacobi::rotate_pair
-// (jacobi/sweep.hpp), so fabric and host sweeps share one pair step.
-// Timing comes from perf::AieKernelModel so the simulator and the
+// The arithmetic of the norm-AIEs. The orth-AIEs' arithmetic is the host's
+// own pair kernel, jacobi::rotate_pair (jacobi/sweep.hpp); the
+// accelerator's data plane (solve_task) runs both on the host. Kernel
+// timing comes from perf::AieKernelModel so the simulator and the
 // analytic model agree on per-kernel cost by construction.
 #pragma once
 

@@ -49,29 +49,22 @@ Sender::Sender(versal::Channel& tx0, versal::Channel& tx1,
 
 double Sender::send_column(int which_block_channel, std::uint32_t dest_id,
                            std::uint32_t column, std::uint32_t task,
-                           double ready, std::vector<float> payload,
-                           std::uint64_t payload_bytes_hint) {
+                           double ready, std::uint64_t column_bytes) {
   HSVD_REQUIRE(which_block_channel == 0 || which_block_channel == 1,
                "a block pair uses exactly two Tx PLIOs");
   versal::Channel& tx = which_block_channel == 0 ? tx0_ : tx1_;
-  const double bytes = payload.empty()
-                           ? static_cast<double>(payload_bytes_hint)
-                           : static_cast<double>(payload.size() * sizeof(float));
+  const auto bytes = static_cast<double>(column_bytes);
   const double at_plio = tx.transfer(ready, bytes);
   if (obs::ObsContext* obs = array_.observer()) {
-    obs->metrics().add("sim.plio.bytes", static_cast<std::uint64_t>(bytes));
+    obs->metrics().add("sim.plio.bytes", column_bytes);
     if (obs::Tracer* tr = obs->tracer()) {
       const double dur = tx.transfer_duration(bytes);
       tr->span(obs::Domain::kSim, cat("plio.", tx.timeline().name()),
                cat("c", column, ".t", task), "plio", at_plio - dur, dur);
     }
   }
-  versal::Packet packet;
-  packet.header = {dest_id, column, task};
-  packet.payload = std::move(payload);
-  const versal::TileCoord dst = forwarding_.route(dest_id);
-  return array_.stream_packet(dst, packet, at_plio, !packet.payload.empty(),
-                              payload_bytes_hint);
+  const versal::Packet packet{{dest_id, column, task}, column_bytes};
+  return array_.stream_packet(forwarding_.route(dest_id), packet, at_plio);
 }
 
 Receiver::Receiver(versal::Channel& rx0, versal::Channel& rx1,

@@ -14,8 +14,10 @@
 //   SystemModule    -- accumulates the convergence rate (eq. (6)) and
 //                      decides when to leave the orthogonalization stage.
 //
-// All four are timing-aware (they own their Channel timelines) and
-// payload-optional, mirroring the accelerator's two execution modes.
+// The first three are timing models: they own their Channel timelines and
+// move byte counts, never data. The SystemModule watches the host sweep
+// loop that computes the factors (accelerator.hpp, solve_task) and makes
+// its stop and watchdog decisions.
 #pragma once
 
 #include <functional>
@@ -59,13 +61,13 @@ class Sender {
   Sender(versal::Channel& tx0, versal::Channel& tx1,
          versal::ForwardingTable forwarding, versal::AieArraySim& array);
 
-  // Sends one column: packetizes, serializes on the block's Tx PLIO, then
-  // forwards through the packet switch to the tile bound to `dest_id`.
+  // Sends one column of `column_bytes`: packetizes, serializes on the
+  // block's Tx PLIO, then forwards through the packet switch to the tile
+  // bound to `dest_id`, whose memory receives the column's buffer record.
   // Returns the arrival time at the tile's memory.
   double send_column(int which_block_channel, std::uint32_t dest_id,
                      std::uint32_t column, std::uint32_t task,
-                     double ready, std::vector<float> payload,
-                     std::uint64_t payload_bytes_hint);
+                     double ready, std::uint64_t column_bytes);
 
   const versal::ForwardingTable& forwarding() const { return forwarding_; }
 
@@ -126,14 +128,6 @@ class SystemModule {
   int stalled_sweeps() const { return stalled_sweeps_; }
   static constexpr int stall_limit() { return 5; }
   bool stalled() const { return stalled_sweeps_ >= stall_limit(); }
-
-  // Folds another module's open sweep into this one (sharded execution:
-  // each shard observes its own pairs; the sweep maximum of the union is
-  // the max of the per-shard maxima, so the merge is order-independent
-  // and the merged convergence decision matches a single-array run).
-  void merge_sweep(const SystemModule& other) {
-    tracker_.merge(other.tracker_);
-  }
 
  private:
   // A sweep must shrink the coherence by at least this factor to count

@@ -54,19 +54,14 @@ bool ShardedAccelerator::fanout_parallel() const {
          (obs_ == nullptr || obs_->tracer() == nullptr);
 }
 
-TaskResult ShardedAccelerator::execute_task(double ready_at,
-                                            const linalg::MatrixF* matrix,
-                                            int task_id, int* fault_shard) {
+double ShardedAccelerator::execute_task(double ready_at, int sweeps,
+                                        int task_id, int* fault_shard) {
   const HeteroSvdConfig& cfg = config();
   const int p = cfg.blocks();
   const int s_count = shards();
   const double block_bytes =
       static_cast<double>(cfg.rows) * sizeof(float) * cfg.p_eng;
   const double hls = arrays_.front()->hls_overhead_seconds();
-
-  TaskResult result;
-  result.start_seconds = ready_at;
-  TaskFrame frame(cfg, matrix);
 
   // Round-0 occupancy of the block ring defines each block's home shard:
   // that is where its DDR staging lands and where it sits again after
@@ -100,15 +95,7 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
     int bv;
   };
 
-  for (int iter = 0; iter < frame.max_sweeps(); ++iter) {
-    frame.begin_sweep();
-    // Per-shard convergence observers for this sweep; folded into the
-    // master at the sweep barrier (the sweep max of the union is the max
-    // of the per-shard maxima, so the merge is order-independent).
-    std::vector<SystemModule> sysmods(static_cast<std::size_t>(s_count),
-                                      SystemModule(cfg.precision.value_or(0.0)));
-    for (auto& sm : sysmods) sm.begin_iteration();
-
+  for (int iter = 0; iter < sweeps; ++iter) {
     for (std::size_t r = 0; r < round_count; ++r) {
       const auto& row = block_schedule_[r];
       std::vector<std::vector<SitePair>> per_shard(
@@ -137,8 +124,7 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
                          ready[static_cast<std::size_t>(sp.bv)]) +
                 hls;
             completions[sp.site] = arrays_[s]->execute_block_pair(
-                0, task_id, sp.bu, sp.bv, launch, frame.b(), frame.colnorm(),
-                sysmods[s]);
+                0, task_id, sp.bu, sp.bv, launch);
           }
         } catch (const hsvd::FaultDetected& e) {
           faults[s] = e;
@@ -182,8 +168,6 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
         block_shard[blk] = mv.to_shard;
       }
     }
-    for (const auto& sm : sysmods) frame.system().merge_sweep(sm);
-    if (frame.end_sweep()) break;
   }
 
   // ---- Normalization stage, distributed over the home shards ----------
@@ -199,8 +183,7 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
     try {
       for (int blk : norm_blocks[s]) {
         const double done = arrays_[s]->execute_norm_block(
-            0, blk, ready[static_cast<std::size_t>(blk)] + hls, frame.b(),
-            frame.sigma());
+            0, blk, ready[static_cast<std::size_t>(blk)] + hls);
         norm_done[s] = std::max(norm_done[s], done);
       }
     } catch (const hsvd::FaultDetected& e) {
@@ -223,11 +206,7 @@ TaskResult ShardedAccelerator::execute_task(double ready_at,
       throw *norm_faults[s];
     }
   }
-  result.end_seconds =
-      *std::max_element(norm_done.begin(), norm_done.end());
-
-  frame.finish(result);
-  return result;
+  return *std::max_element(norm_done.begin(), norm_done.end());
 }
 
 RunResult ShardedAccelerator::execute_batch(
@@ -248,7 +227,10 @@ RunResult ShardedAccelerator::execute_batch(
 
   // Sharded tasks share the inter-shard link's timelines, so the batch
   // runs as one sequential chain (the host parallelism lives inside each
-  // task's per-round shard fan-out instead).
+  // task's per-round shard fan-out instead). Every array sweeps the same
+  // pair order, so the data plane is the single-array one.
+  const HeteroSvdConfig& cfg = config();
+  const jacobi::PairSequence& sequence = arrays_.front()->pair_sequence();
   double free_at = 0.0;
   for (int t = 0; t < batch_size; ++t) {
     if (cancel_ != nullptr && cancel_->expired()) {
@@ -256,12 +238,17 @@ RunResult ShardedAccelerator::execute_batch(
           cat(cancel_->cancelled() ? "cancelled" : "deadline expired",
               " before task ", t, " of the sharded batch"));
     }
-    const linalg::MatrixF* matrix =
-        batch != nullptr ? &(*batch)[static_cast<std::size_t>(t)] : nullptr;
     TaskResult task;
     int fault_shard = -1;
     try {
-      task = execute_task(free_at, matrix, base_id + t, &fault_shard);
+      if (batch != nullptr) {
+        task = solve_task(cfg, sequence, (*batch)[static_cast<std::size_t>(t)]);
+      } else {
+        task.iterations = cfg.iterations;
+      }
+      task.start_seconds = free_at;
+      task.end_seconds =
+          execute_task(free_at, task.iterations, base_id + t, &fault_shard);
       free_at = task.end_seconds;
     } catch (const hsvd::FaultDetected& e) {
       task = TaskResult::failed(e, free_at);

@@ -12,16 +12,16 @@
 // the destination's PL->AIE PLIO -- and its ready time carries that
 // edge cost.
 //
-// Determinism and bit-identity. Pairs within a block round are disjoint
-// (tournament rounds), so their rotations commute: the factors of a
-// sharded run are bit-identical to the single-array path for every S,
-// and S = 1 delegates to the inner HeteroSvdAccelerator outright (the
-// whole RunResult, timings included, is bit-identical to a plain run).
-// The host fan-out over shards touches only disjoint state per shard
-// (its own array/channels/NoC, its pair's matrix columns, a per-shard
-// SystemModule merged at the sweep barrier), so results are identical
-// for any host thread count; cross-shard edge transfers are charged on
-// the coordinator in schedule order, never concurrently.
+// Determinism and bit-identity. The factors come from the single-array
+// data plane (solve_task): pairs within a block round are disjoint
+// (tournament rounds), so spreading a round over shards does not change
+// them, and they are bit-identical to the single-array path for every S.
+// S = 1 delegates to the inner HeteroSvdAccelerator outright (the whole
+// RunResult, timings included, is bit-identical to a plain run). The
+// walk's host fan-out over shards touches only disjoint state per shard
+// (its own array/channels/NoC and completion slots), so results are
+// identical for any host thread count; cross-shard edge transfers are
+// charged on the coordinator in schedule order, never concurrently.
 //
 // Faults. The fault injector is attached to shard 0 only (fault
 // scenarios stay comparable with the single-array engine); detection
@@ -53,7 +53,7 @@ class ShardedAccelerator {
   // sequentially (they share the inter-shard link's timelines).
   RunResult run(const std::vector<linalg::MatrixF>& batch);
 
-  // Timing-only execution of `batch_size` tasks.
+  // The walk of `batch_size` tasks at config().iterations sweeps each.
   RunResult estimate(int batch_size);
 
   int shards() const { return static_cast<int>(arrays_.size()); }
@@ -72,12 +72,12 @@ class ShardedAccelerator {
   void attach_cancellation(const common::CancelToken* cancel);
 
  private:
-  // One sharded task: staging on each block's home shard, the sharded
-  // sweep loop, inter-shard edge charges between rounds, and the
-  // distributed normalization stage. Throws hsvd::FaultDetected (and
-  // records the raising shard in *fault_shard) like execute_task.
-  TaskResult execute_task(double ready, const linalg::MatrixF* matrix,
-                          int task_id, int* fault_shard);
+  // The walk of one sharded task: staging on each block's home shard,
+  // `sweeps` sharded sweeps, inter-shard edge charges between rounds, and
+  // the distributed normalization stage; returns the task's end time.
+  // Throws hsvd::FaultDetected (and records the raising shard in
+  // *fault_shard) like the single-array walk.
+  double execute_task(double ready, int sweeps, int task_id, int* fault_shard);
 
   RunResult execute_batch(int batch_size,
                           const std::vector<linalg::MatrixF>* batch,

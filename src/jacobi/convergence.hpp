@@ -17,10 +17,6 @@ class ConvergenceTracker {
 
   void observe(double coherence) { sweep_max_ = std::max(sweep_max_, coherence); }
 
-  // Merges a sub-tracker (e.g. per-block-pair convergence from line 10 of
-  // Algorithm 1) into this sweep.
-  void merge(const ConvergenceTracker& other) { observe(other.sweep_max_); }
-
   double sweep_rate() const { return sweep_max_; }
   double precision() const { return precision_; }
   bool converged() const { return sweep_max_ < precision_; }

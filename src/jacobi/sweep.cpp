@@ -50,6 +50,9 @@ PairRotation rotate_pair(std::span<float> left, std::span<float> right,
   return out;
 }
 
+namespace {
+
+// Recomputes colnorm[j] = ||b.col(j)||^2 for every column.
 void refresh_norms(const linalg::MatrixF& b, std::vector<float>& colnorm) {
   colnorm.resize(b.cols());
   for (std::size_t j = 0; j < b.cols(); ++j) {
@@ -58,8 +61,11 @@ void refresh_norms(const linalg::MatrixF& b, std::vector<float>& colnorm) {
   }
 }
 
+}  // namespace
+
 HestenesResult run_sweeps(linalg::MatrixF& b, linalg::MatrixF* v,
-                          const PairSequence& seq, const SweepOptions& opts) {
+                          const PairSequence& seq, const SweepOptions& opts,
+                          SweepMonitor* monitor) {
   HSVD_REQUIRE(!seq.sweeps.empty(), "pair sequence has no sweeps");
   const int budget = opts.fixed_sweeps.value_or(opts.max_sweeps);
   HSVD_REQUIRE(budget >= 1, "sweep budget must be positive");
@@ -73,6 +79,7 @@ HestenesResult run_sweeps(linalg::MatrixF& b, linalg::MatrixF* v,
   int sweep = 0;
   for (; sweep < budget; ++sweep) {
     tracker.begin_sweep();
+    if (monitor != nullptr) monitor->begin_sweep();
     refresh_norms(b, colnorm);
     out.norm_dots += b.cols();
     for (const ColumnPair& pair : seq.sweep(sweep)) {
@@ -89,11 +96,15 @@ HestenesResult run_sweeps(linalg::MatrixF& b, linalg::MatrixF* v,
                              ": the input overflows fp32 Gram products"));
       }
       tracker.observe(r.coherence);
+      if (monitor != nullptr) monitor->observe(r.coherence);
       if (r.rotated && v != nullptr) {
         linalg::apply_rotation(v->col(li), v->col(ri), r.c, r.s);
       }
     }
-    if (!opts.fixed_sweeps.has_value() && tracker.converged()) {
+    const bool stop = monitor != nullptr
+                          ? monitor->end_sweep()
+                          : !opts.fixed_sweeps.has_value() && tracker.converged();
+    if (stop) {
       ++sweep;
       break;
     }

@@ -7,8 +7,8 @@
 // closed form. What distinguishes the engines -- plain Hestenes under a
 // tournament ordering, block Hestenes, the BCV odd-even baseline -- is
 // only the order in which column pairs are visited, so each engine is a
-// PairSequence builder plus run_sweeps(). The simulated fabric calls the
-// same rotate_pair() from its orth-AIEs, which is why its factors equal
+// PairSequence builder plus run_sweeps(). The accelerator computes its
+// factors with run_sweeps() over block_sequence(), which is why they equal
 // block_hestenes_svd's bit for bit (see DESIGN.md section 2).
 #pragma once
 
@@ -59,9 +59,6 @@ PairRotation rotate_pair(std::span<float> left, std::span<float> right,
                          float& aii, float& ajj,
                          float rotation_threshold = 0.0f);
 
-// Recomputes colnorm[j] = ||b.col(j)||^2 for every column.
-void refresh_norms(const linalg::MatrixF& b, std::vector<float>& colnorm);
-
 struct SweepOptions {
   double precision = 1e-6;          // eq. (6) threshold
   double rotation_threshold = 0.0;  // threshold Jacobi (see HestenesOptions)
@@ -87,16 +84,32 @@ struct HestenesResult {
   std::uint64_t norm_dots = 0;
 };
 
+// Watches a sweep loop in place of its precision test: sees every pair's
+// coherence and decides, as each sweep closes, whether to stop. The
+// accelerator's SystemModule watches the fabric's sweeps this way.
+class SweepMonitor {
+ public:
+  virtual void begin_sweep() = 0;
+  virtual void observe(double coherence) = 0;
+  // Closes a sweep; true stops the loop.
+  virtual bool end_sweep() = 0;
+
+ protected:
+  ~SweepMonitor() = default;
+};
+
 // The host sweep loop: refreshes the norm cache at each sweep start,
 // runs the sweep's pair visits through rotate_pair (rotating V alongside
 // when `v` is non-null), and stops when a sweep's maximum coherence falls
-// below the precision target or the sweep budget runs out. Fills the
-// sweep count, convergence fields and counters of the result; the
-// factors stay in `b`/`v` for normalize_in_place. Throws
-// hsvd::InputError naming the pair and sweep when a pair's coherence is
-// non-finite (the input overflows fp32 Gram products).
+// below the precision target -- or, with a `monitor`, when the monitor
+// says so -- or the sweep budget runs out. Fills the sweep count,
+// convergence fields and counters of the result; the factors stay in
+// `b`/`v` for normalize_in_place. Throws hsvd::InputError naming the pair
+// and sweep when a pair's coherence is non-finite (the input overflows
+// fp32 Gram products).
 HestenesResult run_sweeps(linalg::MatrixF& b, linalg::MatrixF* v,
-                          const PairSequence& seq, const SweepOptions& opts);
+                          const PairSequence& seq, const SweepOptions& opts,
+                          SweepMonitor* monitor = nullptr);
 
 // A whole one-sided Jacobi SVD of `a` under `seq`: run_sweeps on a copy
 // (with V = I accumulated when asked) followed by normalize_in_place.

@@ -455,20 +455,18 @@ void SvdServer::dispatch(std::size_t worker_index, Job primary,
   }
   if (runnable.empty()) return;
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.batch_dispatches;
-    counters_.batch_tasks += runnable.size();
-  }
-  count("serve.batch.dispatches");
-  observe("serve.batch.fill", static_cast<double>(runnable.size()));
-
   if (runnable.size() == 1) {
     Job job = std::move(runnable.front());
     common::CancelToken token(*clock_, job.deadline_abs_s);
     register_running(worker_index, job.band, &token);
     Response response = execute(job, token);
     const bool preempted = unregister_running(worker_index, job.deadline_abs_s);
+    // Only a job that made an attempt reached svd(); a breaker fast-fail
+    // or a deadline that ran out first keeps batch_size 0.
+    if (response.attempts > 0) {
+      note_dispatch(1);
+      response.batch_size = 1;
+    }
     if (preempted && response.status == ServeStatus::kExpired) {
       requeue(std::move(job), /*count_preemption=*/true);
       return;
@@ -479,12 +477,21 @@ void SvdServer::dispatch(std::size_t worker_index, Job primary,
                      route_intent(job.request), job.request.scenario,
                      job.request.top_k);
     }
-    response.batch_size = 1;
     note_terminal(job, response);
     resolve(std::move(job), std::move(response));
     return;
   }
   execute_coalesced(worker_index, std::move(runnable));
+}
+
+void SvdServer::note_dispatch(std::size_t tasks) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.batch_dispatches;
+    counters_.batch_tasks += tasks;
+  }
+  count("serve.batch.dispatches");
+  observe("serve.batch.fill", static_cast<double>(tasks));
 }
 
 void SvdServer::execute_coalesced(std::size_t worker_index,
@@ -501,12 +508,12 @@ void SvdServer::execute_coalesced(std::size_t worker_index,
       out.message = "circuit breaker open, request fast-failed";
       out.queue_seconds = start_s - job.admitted_s;
       out.service_seconds = end_s - start_s;
-      out.batch_size = k;
       note_terminal(job, out);
       resolve(std::move(job), std::move(out));
     }
     return;
   }
+  note_dispatch(k);
 
   // One token covering the whole dispatch: the earliest member deadline
   // bounds the batch, and preemption cancels through the same token.

@@ -220,8 +220,11 @@ struct ServerStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_collisions = 0;
   std::uint64_t cache_evictions = 0;
-  std::uint64_t batch_dispatches = 0;     // fabric dispatches (any size)
-  std::uint64_t batch_tasks = 0;          // jobs across those dispatches
+  // Fabric dispatches (any size) and the jobs across them. A job that
+  // never reached svd() / svd_batch() -- a breaker fast-fail, a deadline
+  // that ran out before its first attempt -- is not dispatched.
+  std::uint64_t batch_dispatches = 0;
+  std::uint64_t batch_tasks = 0;
   std::size_t in_service = 0;             // jobs executing right now
   std::map<std::string, TenantStats> tenants;
 };
@@ -303,6 +306,9 @@ class SvdServer {
   void dispatch(std::size_t worker_index, Job primary,
                 std::vector<Job> extras);
   void execute_coalesced(std::size_t worker_index, std::vector<Job> jobs);
+  // Counts one fabric dispatch of `tasks` jobs; called only once the
+  // jobs have reached svd() / svd_batch().
+  void note_dispatch(std::size_t tasks);
   accel::HeteroSvdConfig config_for_shape(std::size_t rows, std::size_t cols);
 
   std::optional<Job> pop_next_locked();

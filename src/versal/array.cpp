@@ -44,30 +44,29 @@ Timeline& AieArraySim::core(const TileCoord& t) {
 }
 
 void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
-                                 const std::string& key,
-                                 std::uint64_t bytes_hint) {
+                                 const BufferId& id) {
   HSVD_REQUIRE(geometry_.neighbour_transfer_possible(src, dst),
                cat("tiles ", to_string(src), " -> ", to_string(dst),
                    " are not neighbour-accessible"));
   stats_.neighbour_transfers.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t bytes = bytes_hint;
   if (obs_ != nullptr) obs_->metrics().add("sim.neighbour.transfers");
   if (src == dst) return;
-  TileMemory& sm = memory(src);
-  if (sm.contains(key)) {
-    std::vector<float> data = sm.load(key);
-    bytes = data.size() * sizeof(float);
-    sm.erase(key);
-    memory(dst).store(key, std::move(data));
-  }
+  BufferRecord record = memory(src).take(id);
+  const std::uint64_t bytes = record.bytes;
+  memory(dst).store(id, std::move(record));
   // The consuming tile reads the shared memory module: charge the link
   // bytes to the destination.
   counters(dst).neighbour_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
+std::vector<BitFlip> AieArraySim::upsets(const TileCoord& tile,
+                                         std::uint64_t bytes) {
+  if (faults_ == nullptr) return {};
+  return faults_->corrupt_payload(tile, bytes / sizeof(float));
+}
+
 double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
-                             const std::string& key, double ready,
-                             std::uint64_t bytes_hint) {
+                             const BufferId& id, double ready) {
   stats_.dma_transfers.fetch_add(1, std::memory_order_relaxed);
   bool drop = false;
   double stall = 0.0;
@@ -85,20 +84,16 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
       }
     }
   }
-  TileMemory& sm = memory(src);
-  std::uint64_t bytes = bytes_hint;
-  if (sm.contains(key)) {
-    const std::vector<float>& data = sm.load(key);
-    bytes = data.size() * sizeof(float);
-    // The shadow copy lives in the destination while the source keeps its
-    // original until the consumer releases it: the 2x memory cost of DMA.
-    // A dropped DMA consumes the engine's time but never lands the
-    // shadow; a staged shadow can take an injected SEU.
-    if (!drop) {
-      std::vector<float> shadow = data;
-      if (faults_ != nullptr) faults_->corrupt_payload(dst, shadow);
-      memory(dst).store(key + "#dma", std::move(shadow));
-    }
+  const BufferRecord& original = memory(src).load(id);
+  const std::uint64_t bytes = original.bytes;
+  // The shadow lives in the destination while the source keeps its
+  // original until the consumer releases it: the 2x memory cost of DMA.
+  // A dropped DMA consumes the engine's time but never lands the shadow;
+  // a staged shadow can take an injected SEU.
+  if (!drop) {
+    BufferRecord shadow = original;
+    for (const BitFlip& f : upsets(dst, bytes)) shadow.flip(f);
+    memory(dst).store(BufferId{id.task, id.column, true}, std::move(shadow));
   }
   stats_.dma_bytes.fetch_add(bytes, std::memory_order_relaxed);
   counters(src).dma_bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -113,19 +108,17 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
     obs_->metrics().observe("sim.dma.cycles", duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
       tr->span(obs::Domain::kSim, cat("dma", to_string(src)),
-               cat(key, " -> ", to_string(dst)), "dma", done - duration,
-               duration);
+               cat(to_string(id), " -> ", to_string(dst)), "dma",
+               done - duration, duration);
     }
   }
   return done;
 }
 
 double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
-                                  double ready, bool store_payload,
-                                  std::uint64_t payload_bytes_hint) {
+                                  double ready) {
   stats_.stream_packets.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t wire_bytes =
-      packet.payload.empty() ? 16 + payload_bytes_hint : packet.bytes();
+  const std::uint64_t wire_bytes = packet.bytes();
   stats_.stream_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
   counters(dst).stream_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
   bool drop = false;
@@ -144,11 +137,11 @@ double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
       }
     }
   }
-  if (store_payload && !packet.payload.empty() && !drop) {
-    std::vector<float> data = packet.payload;
-    if (faults_ != nullptr) faults_->corrupt_payload(dst, data);
-    memory(dst).store(cat("c", packet.header.column, ".t", packet.header.task),
-                      std::move(data));
+  if (!drop) {
+    BufferRecord record{packet.payload_bytes, {}};
+    for (const BitFlip& f : upsets(dst, packet.payload_bytes)) record.flip(f);
+    memory(dst).store(BufferId{packet.header.task, packet.header.column, false},
+                      std::move(record));
   }
   // Stream ports move 32 bits per AIE cycle.
   const double rate = 4.0 * device_.aie_clock_hz;

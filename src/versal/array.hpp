@@ -2,16 +2,15 @@
 // memories, plus the three inter-tile transfer mechanisms of Fig. 1
 // (neighbour access, DMA, packet streams) with their cost asymmetry.
 //
-// Functional payloads are optional: when a transfer is issued without
-// data the simulator still performs all capacity accounting and timing,
-// which is how the large-size benches run (timing is data-independent
-// once the iteration count is fixed).
+// Transfers move buffer records (versal/memory.hpp), never data: each one
+// does its capacity, peak and link-byte accounting and its timing from
+// the record's byte count, and carries the record's injected bit flips
+// along so a detection point downstream can see them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -55,30 +54,26 @@ class AieArraySim {
   TileMemory& memory(const TileCoord& t);
   Timeline& core(const TileCoord& t);
 
-  // --- Functional + accounted transfers -------------------------------
+  // --- Accounted transfers ---------------------------------------------
   // Neighbour transfer: requires geometric adjacency (throws otherwise).
   // Zero-copy in time (the consuming kernel reads the shared memory
-  // module directly); the buffer ownership moves to dst. `bytes_hint`
-  // supplies the link-byte tally when the move carries no payload
-  // (timing-only execution).
+  // module directly); the buffer record moves to dst.
   void neighbour_move(const TileCoord& src, const TileCoord& dst,
-                      const std::string& key, std::uint64_t bytes_hint = 0);
+                      const BufferId& id);
 
-  // DMA transfer: allowed between any two tiles. Duplicates the buffer
-  // (shadow copy in dst) -- the "twice the memory" cost -- and occupies
-  // the source tile's DMA engine for bytes / dma_rate. Returns completion
-  // time.
+  // DMA transfer: allowed between any two tiles. Lands a shadow of the
+  // buffer (id.shadow set) in dst while src keeps its original -- the
+  // "twice the memory" cost -- and occupies the source tile's DMA engine
+  // for bytes / dma_rate. A dropped DMA never lands the shadow. Returns
+  // completion time.
   double dma_move(const TileCoord& src, const TileCoord& dst,
-                  const std::string& key, double ready,
-                  std::uint64_t bytes_hint = 0);
+                  const BufferId& id, double ready);
 
   // Stream packet from PL into a tile (or between tiles) through the
-  // packet-switched network; serializes on the destination's stream port.
-  // `payload_bytes_hint` supplies the wire size when the packet carries
-  // no payload (timing-only execution).
+  // packet-switched network; serializes on the destination's stream port
+  // and, unless the packet is dropped, stores its column's record.
   double stream_packet(const TileCoord& dst, const Packet& packet,
-                       double ready, bool store_payload,
-                       std::uint64_t payload_bytes_hint = 0);
+                       double ready);
 
   // Records a kernel run on the tile's core timeline.
   double run_kernel(const TileCoord& tile, double ready, double duration);
@@ -108,7 +103,7 @@ class AieArraySim {
   double dma_setup_seconds() const { return 300.0 / device_.aie_clock_hz; }
 
   // Optional fault injection: when attached, kernels, DMA transfers,
-  // packet stores, and staged payloads are perturbed per the injector's
+  // packet stores, and staged buffers are perturbed per the injector's
   // FaultPlan (not owned; pass nullptr to detach). A hung core reports
   // +infinity as its kernel completion time -- the accelerator's
   // detection points treat a non-finite timestamp as a dead tile.
@@ -155,6 +150,9 @@ class AieArraySim {
     std::atomic<std::uint64_t> stream_bytes{0};
     std::atomic<double> stall_seconds{0.0};
   };
+  // The upsets the attached injector plants in a buffer of `bytes` staged
+  // on `tile` (none without an injector).
+  std::vector<BitFlip> upsets(const TileCoord& tile, std::uint64_t bytes);
   TileCounters& counters(const TileCoord& t) {
     return tile_counters_[static_cast<std::size_t>(geometry_.index_of(t))];
   }

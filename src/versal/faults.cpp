@@ -164,14 +164,14 @@ double FaultInjector::on_dma(const TileCoord& src, bool* drop) {
                        FaultKind::kDmaStall, src, drop);
 }
 
-bool FaultInjector::corrupt_payload(const TileCoord& tile,
-                                    std::vector<float>& data) {
+std::vector<BitFlip> FaultInjector::corrupt_payload(const TileCoord& tile,
+                                                    std::size_t words) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::pair<int, TileCoord> key{3, tile};
   const std::uint64_t op = counters_[key]++;
+  std::vector<BitFlip> flips;
   auto it = armed_.find(key);
-  if (it == armed_.end() || data.empty()) return false;
-  bool flipped = false;
+  if (it == armed_.end() || words == 0) return flips;
   for (auto& armed : it->second) {
     const FaultSpec& spec = plan_.faults[armed.plan_index];
     if (spec.kind != FaultKind::kMemoryBitFlip || armed.fired ||
@@ -183,18 +183,14 @@ bool FaultInjector::corrupt_payload(const TileCoord& tile,
     // same plan corrupts the same bit in every replay.
     const std::uint64_t r =
         splitmix64(plan_.seed ^ (0x51ed2701u + armed.plan_index));
-    const std::size_t word = static_cast<std::size_t>(r % data.size());
-    const int bit = static_cast<int>((r >> 32) % 32);
-    std::uint32_t bits;
-    std::memcpy(&bits, &data[word], sizeof(bits));
-    bits ^= 1u << bit;
-    std::memcpy(&data[word], &bits, sizeof(bits));
-    flipped = true;
+    const BitFlip flip{static_cast<std::size_t>(r % words),
+                       static_cast<int>((r >> 32) % 32)};
+    flips.push_back(flip);
     record(armed.plan_index, tile, op,
-           cat("bit ", bit, " of word ", word, " flipped at ",
+           cat("bit ", flip.bit, " of word ", flip.word, " flipped at ",
                to_string(tile)));
   }
-  return flipped;
+  return flips;
 }
 
 bool FaultInjector::corrupt_result(int slot, std::span<float> u,

@@ -14,9 +14,8 @@
 // SEU flips) via a splitmix64 hash, so a plan replays bit-identically.
 //
 // The injector only *causes* faults; detection lives at the accelerator's
-// dataflow boundaries (checksums, missing-buffer checks, non-finite
-// guards, the convergence watchdog) and recovery in the accelerator's
-// retry/re-placement policy.
+// dataflow boundaries (the Rx integrity check, missing-buffer checks, hung
+// cores) and recovery in the accelerator's retry/re-placement policy.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +76,15 @@ struct FaultEvent {
   std::string detail;
 };
 
-// FNV-1a over the byte image of a float buffer: the checksum the PL
-// sender stamps on outgoing columns and the detection points recompute.
+// One single-bit upset: bit `bit` of 32-bit word `word` of a buffer.
+struct BitFlip {
+  std::size_t word = 0;
+  int bit = 0;
+  friend bool operator==(const BitFlip&, const BitFlip&) = default;
+};
+
+// FNV-1a over the byte image of a float buffer (content digest of the
+// serving layer's result cache and the verifier).
 std::uint64_t buffer_checksum(std::span<const float> data);
 
 class FaultInjector {
@@ -94,9 +100,10 @@ class FaultInjector {
   double on_stream(const TileCoord& tile, bool* drop);
   // Counts a DMA issued by `src`'s engine; delay + shadow-drop flag.
   double on_dma(const TileCoord& src, bool* drop);
-  // Counts a payload staged into `tile`'s memory; may flip one seed-chosen
-  // bit in `data`. Returns true when a flip happened.
-  bool corrupt_payload(const TileCoord& tile, std::vector<float>& data);
+  // Counts a buffer of `words` 32-bit words staged into `tile`'s memory;
+  // returns the seed-chosen bits an armed kMemoryBitFlip upsets in it
+  // (empty when none fires).
+  std::vector<BitFlip> corrupt_payload(const TileCoord& tile, std::size_t words);
   // Counts a finished result for task `slot` and may apply an armed
   // kSilentError: a seed-chosen exponent-bit flip of either sigma[0] or
   // a dominant U entry -- a finite, plausible-looking corruption that no

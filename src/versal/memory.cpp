@@ -1,45 +1,77 @@
 #include "versal/memory.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "common/assert.hpp"
 #include "common/format.hpp"
 
 namespace hsvd::versal {
 
-void TileMemory::store(const std::string& key, std::vector<float> values) {
-  const std::uint64_t incoming = values.size() * sizeof(float);
-  std::uint64_t after = used_ + incoming;
-  auto it = buffers_.find(key);
-  if (it != buffers_.end()) after -= it->second.size() * sizeof(float);
+std::string to_string(const BufferId& id) {
+  return cat("c", id.column, ".t", id.task, id.shadow ? "#dma" : "");
+}
+
+void BufferRecord::flip(const BitFlip& f) {
+  const auto it = std::find(flips.begin(), flips.end(), f);
+  if (it == flips.end()) {
+    flips.push_back(f);
+  } else {
+    flips.erase(it);
+  }
+}
+
+TileMemory::Buffers::iterator TileMemory::find(const BufferId& id) {
+  return std::find_if(buffers_.begin(), buffers_.end(),
+                      [&id](const auto& entry) { return entry.first == id; });
+}
+
+TileMemory::Buffers::const_iterator TileMemory::find(const BufferId& id) const {
+  return const_cast<TileMemory*>(this)->find(id);
+}
+
+void TileMemory::store(const BufferId& id, BufferRecord record) {
+  const auto it = find(id);
+  std::uint64_t after = used_ + record.bytes;
+  if (it != buffers_.end()) after -= it->second.bytes;
   if (after > capacity_) {
-    throw std::runtime_error(
-        cat("tile memory overflow: need ", after, " bytes of ", capacity_,
-            " storing '", key, "'"));
+    throw std::runtime_error(cat("tile memory overflow: need ", after,
+                                 " bytes of ", capacity_, " storing '",
+                                 to_string(id), "'"));
   }
   used_ = after;
   peak_ = peak_ > used_ ? peak_ : used_;
-  buffers_[key] = std::move(values);
+  if (it != buffers_.end()) {
+    it->second = std::move(record);
+  } else {
+    buffers_.emplace_back(id, std::move(record));
+  }
 }
 
-const std::vector<float>& TileMemory::load(const std::string& key) const {
-  auto it = buffers_.find(key);
-  HSVD_REQUIRE(it != buffers_.end(), cat("missing buffer '", key, "'"));
+const BufferRecord& TileMemory::load(const BufferId& id) const {
+  const auto it = find(id);
+  HSVD_REQUIRE(it != buffers_.end(), cat("missing buffer '", to_string(id), "'"));
   return it->second;
 }
 
-void TileMemory::erase(const std::string& key) {
-  auto it = buffers_.find(key);
-  if (it == buffers_.end()) return;
-  used_ -= it->second.size() * sizeof(float);
+BufferRecord TileMemory::take(const BufferId& id) {
+  const auto it = find(id);
+  HSVD_REQUIRE(it != buffers_.end(), cat("missing buffer '", to_string(id), "'"));
+  BufferRecord record = std::move(it->second);
+  used_ -= record.bytes;
   buffers_.erase(it);
+  return record;
 }
 
-std::size_t TileMemory::erase_if(
-    const std::function<bool(const std::string&)>& pred) {
+void TileMemory::erase(const BufferId& id) {
+  if (contains(id)) take(id);
+}
+
+std::size_t TileMemory::erase_task(std::uint32_t task) {
   std::size_t removed = 0;
   for (auto it = buffers_.begin(); it != buffers_.end();) {
-    if (pred(it->first)) {
-      used_ -= it->second.size() * sizeof(float);
+    if (it->first.task == task) {
+      used_ -= it->second.bytes;
       it = buffers_.erase(it);
       ++removed;
     } else {
@@ -47,11 +79,6 @@ std::size_t TileMemory::erase_if(
     }
   }
   return removed;
-}
-
-void TileMemory::clear() {
-  buffers_.clear();
-  used_ = 0;
 }
 
 }  // namespace hsvd::versal

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "versal/geometry.hpp"
@@ -22,12 +21,15 @@ struct PacketHeader {
   std::uint32_t task = 0;      // batch task the column belongs to
 };
 
+// A packet carries the size of its column, not the column: the factors
+// are computed on the host, and the fabric only needs what the wire and
+// the tile memories are charged for.
 struct Packet {
   PacketHeader header;
-  std::vector<float> payload;
+  std::uint64_t payload_bytes = 0;
   std::uint64_t bytes() const {
     // 128-bit header beat + payload words.
-    return 16 + payload.size() * sizeof(float);
+    return 16 + payload_bytes;
   }
 };
 

@@ -3,7 +3,11 @@
 # identical to the committed golden. Invoked by ctest as
 #
 #   cmake -DBENCH=<path-to-exe> -DCSV=<name>.csv -DGOLDEN=<path> \
-#         -DWORKDIR=<scratch> -P run_golden.cmake
+#         -DWORKDIR=<scratch> [-DARGS="<space-separated args>"] \
+#         -P run_golden.cmake
+#
+# ARGS is optional: benches take none, a tool such as fault_campaign
+# takes the options that make it write <name>.csv.
 #
 # A drifted artifact fails with a unified diff so the change is visible
 # in the ctest log; intentional model changes re-bless the golden by
@@ -14,9 +18,11 @@ foreach(var BENCH CSV GOLDEN WORKDIR)
   endif()
 endforeach()
 
+separate_arguments(bench_args UNIX_COMMAND "${ARGS}")
+
 file(MAKE_DIRECTORY "${WORKDIR}")
 execute_process(
-  COMMAND "${BENCH}"
+  COMMAND "${BENCH}" ${bench_args}
   WORKING_DIRECTORY "${WORKDIR}"
   RESULT_VARIABLE bench_rc
   OUTPUT_QUIET)

@@ -9,6 +9,7 @@
 #include "accel/accelerator.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/metrics.hpp"
@@ -137,6 +138,72 @@ TEST(Accelerator, EstimateMatchesFunctionalTiming) {
   auto run_t = timed.estimate(1);
   EXPECT_NEAR(run_f.task_seconds, run_t.task_seconds,
               1e-12 * run_f.task_seconds);
+}
+
+TEST(Accelerator, RunTimelineEqualsEstimate) {
+  // At a fixed sweep count the simulated timeline is a pure function of
+  // the configuration and the batch size: run() and estimate() must agree
+  // on every timestamp, counter and per-tile tally, both when each task
+  // slot owns a DDRMC port and when slots share the NoC's ports
+  // (P_task > ports serializes staging in batch order).
+  struct Shape {
+    std::size_t rows;
+    std::size_t cols;
+    int p_eng;
+    int p_task;
+    int batch;
+  };
+  for (const Shape shape : {Shape{32, 16, 4, 2, 3}, Shape{16, 8, 2, 6, 9}}) {
+    HeteroSvdConfig cfg;
+    cfg.rows = shape.rows;
+    cfg.cols = shape.cols;
+    cfg.p_eng = shape.p_eng;
+    cfg.p_task = shape.p_task;
+    cfg.iterations = 3;
+    SCOPED_TRACE(cat("P_task=", cfg.p_task, " batch=", shape.batch));
+    std::vector<MatrixF> batch;
+    for (int t = 0; t < shape.batch; ++t) {
+      batch.push_back(random_matrix(shape.rows, shape.cols, 7000 + t));
+    }
+    const RunResult run = HeteroSvdAccelerator(cfg).run(batch);
+    HeteroSvdAccelerator timed(cfg);
+    const RunResult est = timed.estimate(shape.batch);
+    EXPECT_EQ(cfg.p_task > timed.noc().ports(), shape.p_task == 6);
+
+    EXPECT_EQ(run.batch_seconds, est.batch_seconds);
+    ASSERT_EQ(run.tasks.size(), est.tasks.size());
+    for (std::size_t t = 0; t < run.tasks.size(); ++t) {
+      ASSERT_EQ(run.tasks[t].status, hsvd::SvdStatus::kOk);
+      EXPECT_EQ(run.tasks[t].start_seconds, est.tasks[t].start_seconds) << t;
+      EXPECT_EQ(run.tasks[t].end_seconds, est.tasks[t].end_seconds) << t;
+    }
+    EXPECT_EQ(run.stats.neighbour_transfers, est.stats.neighbour_transfers);
+    EXPECT_EQ(run.stats.dma_transfers, est.stats.dma_transfers);
+    EXPECT_EQ(run.stats.dma_bytes, est.stats.dma_bytes);
+    EXPECT_EQ(run.stats.stream_packets, est.stats.stream_packets);
+    EXPECT_EQ(run.stats.stream_bytes, est.stats.stream_bytes);
+    EXPECT_EQ(run.stats.kernel_invocations, est.stats.kernel_invocations);
+    EXPECT_EQ(run.core_utilization, est.core_utilization);
+
+    const versal::UtilizationReport& a = run.utilization;
+    const versal::UtilizationReport& b = est.utilization;
+    EXPECT_EQ(a.makespan_seconds, b.makespan_seconds);
+    ASSERT_EQ(a.tiles.size(), b.tiles.size());
+    for (std::size_t i = 0; i < a.tiles.size(); ++i) {
+      const versal::TileUtilization& x = a.tiles[i];
+      const versal::TileUtilization& y = b.tiles[i];
+      SCOPED_TRACE(versal::to_string(x.tile));
+      EXPECT_EQ(x.busy_cycles, y.busy_cycles);
+      EXPECT_EQ(x.stalled_cycles, y.stalled_cycles);
+      EXPECT_EQ(x.idle_cycles, y.idle_cycles);
+      EXPECT_EQ(x.dma_busy_cycles, y.dma_busy_cycles);
+      EXPECT_EQ(x.stream_busy_cycles, y.stream_busy_cycles);
+      EXPECT_EQ(x.kernel_invocations, y.kernel_invocations);
+      EXPECT_EQ(x.neighbour_bytes, y.neighbour_bytes);
+      EXPECT_EQ(x.dma_bytes, y.dma_bytes);
+      EXPECT_EQ(x.stream_bytes, y.stream_bytes);
+    }
+  }
 }
 
 TEST(Accelerator, MoreEnginesReduceLatency) {

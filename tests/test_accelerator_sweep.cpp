@@ -84,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AcceleratorFailure, ColumnsExceedingTileMemoryThrow) {
   // m = 8192 float columns are 32 KB each: two operand columns cannot
   // coexist in one 32 KB tile memory. The simulator's capacity checks
-  // must reject the functional run rather than silently "work".
+  // must reject the run rather than silently "work".
   HeteroSvdConfig cfg;
   cfg.rows = 8192;
   cfg.cols = 8;
@@ -97,9 +97,9 @@ TEST(AcceleratorFailure, ColumnsExceedingTileMemoryThrow) {
   EXPECT_THROW(acc.run({a}), std::runtime_error);
 }
 
-TEST(AcceleratorFailure, TimedModeSkipsCapacityChecks) {
-  // Timing-only estimation carries no payloads and is allowed to model
-  // out-of-budget what-if configurations.
+TEST(AcceleratorFailure, TimedModeEnforcesCapacityChecks) {
+  // estimate() walks the same buffer records as run(), so a shape whose
+  // columns cannot coexist in one tile memory is rejected there too.
   HeteroSvdConfig cfg;
   cfg.rows = 8192;
   cfg.cols = 8;
@@ -107,7 +107,7 @@ TEST(AcceleratorFailure, TimedModeSkipsCapacityChecks) {
   cfg.p_task = 1;
   cfg.iterations = 1;
   HeteroSvdAccelerator acc(cfg);
-  EXPECT_GT(acc.estimate(1).task_seconds, 0.0);
+  EXPECT_THROW(acc.estimate(1), std::runtime_error);
 }
 
 TEST(AcceleratorFailure, NaiveStrategyUsesMoreTileMemory) {

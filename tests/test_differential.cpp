@@ -666,12 +666,12 @@ TEST(Differential, FaultRecoveryMatchesReferenceAndSerialBits) {
 
 // ---- Invariant: the fabric is block Hestenes ------------------------------
 
-// The orth-AIEs run jacobi::rotate_pair over the block-pair tournament in
-// the same pair order as block_hestenes_svd (the shifting ring moves a
-// pair between engines, never between rounds, and the pairs of a round
-// are disjoint), with the same per-sweep norm refresh and convergence
-// test. So the fabric's factors are the host engine's factors, bit for
-// bit, whatever the task slot, shard count or termination mode.
+// The fabric's factors are block_hestenes_svd's: the same pair order
+// (every ordering moves a pair between engines, never between rounds, and
+// the pairs of a round are disjoint), the same pair kernel, the same
+// per-sweep norm refresh and the same convergence test. So they agree
+// bit for bit whatever the ordering, task slot, shard count or
+// termination mode.
 TEST(Differential, FabricFactorsAreBlockHestenesBits) {
   struct Layout {
     int shards;
@@ -683,54 +683,59 @@ TEST(Differential, FabricFactorsAreBlockHestenesBits) {
     for (int i = 0; i < 2; ++i) {
       batch.push_back(linalg::random_gaussian(n + 8, n, rng).cast<float>());
     }
-    for (int p_eng : {3, 8}) {
-      for (const Layout layout : {Layout{1, 1}, Layout{1, 2}, Layout{2, 1}}) {
-        for (const bool precision_mode : {false, true}) {
-          accel::HeteroSvdConfig cfg;
-          cfg.rows = n + 8;
-          cfg.cols = n;
-          cfg.p_eng = p_eng;
-          cfg.p_task = layout.p_task;
-          cfg.iterations = 6;
-          if (precision_mode) cfg.precision = 1e-6;
-          const std::string what =
-              cat("n=", n, " P_eng=", p_eng, " S=", layout.shards,
-                  " P_task=", layout.p_task,
-                  precision_mode ? " precision" : " fixed");
-          SCOPED_TRACE(what);
-          const accel::RunResult run =
-              layout.shards == 1
-                  ? accel::HeteroSvdAccelerator(cfg).run(batch)
-                  : accel::ShardedAccelerator(cfg, layout.shards).run(batch);
+    for (const jacobi::OrderingKind ordering :
+         {jacobi::OrderingKind::kRing, jacobi::OrderingKind::kRoundRobin,
+          jacobi::OrderingKind::kShiftingRing}) {
+      for (int p_eng : {3, 8}) {
+        for (const Layout layout : {Layout{1, 1}, Layout{1, 2}, Layout{2, 1}}) {
+          for (const bool precision_mode : {false, true}) {
+            accel::HeteroSvdConfig cfg;
+            cfg.rows = n + 8;
+            cfg.cols = n;
+            cfg.p_eng = p_eng;
+            cfg.p_task = layout.p_task;
+            cfg.ordering = ordering;
+            cfg.iterations = 6;
+            if (precision_mode) cfg.precision = 1e-6;
+            const std::string what =
+                cat("n=", n, " ", jacobi::to_string(ordering), " P_eng=", p_eng,
+                    " S=", layout.shards, " P_task=", layout.p_task,
+                    precision_mode ? " precision" : " fixed");
+            SCOPED_TRACE(what);
+            const accel::RunResult run =
+                layout.shards == 1
+                    ? accel::HeteroSvdAccelerator(cfg).run(batch)
+                    : accel::ShardedAccelerator(cfg, layout.shards).run(batch);
 
-          jacobi::BlockOptions opts;
-          opts.block_cols = p_eng;
-          opts.ordering = cfg.ordering;
-          opts.accumulate_v = false;
-          if (precision_mode) {
-            opts.precision = *cfg.precision;
-            opts.max_sweeps = std::max(cfg.iterations, 30);
-          } else {
-            opts.fixed_sweeps = cfg.iterations;
-          }
-          ASSERT_EQ(run.tasks.size(), batch.size());
-          for (std::size_t t = 0; t < batch.size(); ++t) {
-            SCOPED_TRACE(cat("task ", t));
-            const accel::TaskResult& task = run.tasks[t];
-            ASSERT_EQ(task.status, SvdStatus::kOk) << task.message;
-            linalg::MatrixF padded(cfg.rows, cfg.padded_cols());
-            padded.assign_cols(0, batch[t]);
-            jacobi::HestenesResult ref =
-                jacobi::block_hestenes_svd(padded, opts);
-            EXPECT_EQ(task.iterations, ref.sweeps);
-            ref.sigma.resize(n);
-            linalg::MatrixF ref_u(cfg.rows, n);
-            for (std::size_t j = 0; j < n; ++j) {
-              const auto col = ref.u.col(j);
-              std::copy(col.begin(), col.end(), ref_u.col(j).begin());
+            jacobi::BlockOptions opts;
+            opts.block_cols = p_eng;
+            opts.ordering = cfg.ordering;
+            opts.accumulate_v = false;
+            if (precision_mode) {
+              opts.precision = *cfg.precision;
+              opts.max_sweeps = std::max(cfg.iterations, 30);
+            } else {
+              opts.fixed_sweeps = cfg.iterations;
             }
-            EXPECT_TRUE(same_bits(task.sigma, ref.sigma));
-            EXPECT_TRUE(same_bits(task.u, ref_u));
+            ASSERT_EQ(run.tasks.size(), batch.size());
+            for (std::size_t t = 0; t < batch.size(); ++t) {
+              SCOPED_TRACE(cat("task ", t));
+              const accel::TaskResult& task = run.tasks[t];
+              ASSERT_EQ(task.status, SvdStatus::kOk) << task.message;
+              linalg::MatrixF padded(cfg.rows, cfg.padded_cols());
+              padded.assign_cols(0, batch[t]);
+              jacobi::HestenesResult ref =
+                  jacobi::block_hestenes_svd(padded, opts);
+              EXPECT_EQ(task.iterations, ref.sweeps);
+              ref.sigma.resize(n);
+              linalg::MatrixF ref_u(cfg.rows, n);
+              for (std::size_t j = 0; j < n; ++j) {
+                const auto col = ref.u.col(j);
+                std::copy(col.begin(), col.end(), ref_u.col(j).begin());
+              }
+              EXPECT_TRUE(same_bits(task.sigma, ref.sigma));
+              EXPECT_TRUE(same_bits(task.u, ref_u));
+            }
           }
         }
       }

@@ -12,6 +12,7 @@
 #include "accel/accelerator.hpp"
 #include "accel/campaign.hpp"
 #include "accel/placement.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "heterosvd.hpp"
 #include "linalg/generators.hpp"
@@ -151,16 +152,16 @@ TEST(FaultRecovery, RecoveredHangIsBitIdenticalToTheFaultFreeRun) {
   EXPECT_EQ(recovered.tasks[0].iterations, baseline.tasks[0].iterations);
 }
 
-TEST(FaultRecovery, NonFiniteInputIsBlamedOnTheFirstKernelThatSawIt) {
+TEST(FaultRecovery, NonFiniteInputIsDiagnosedBeforeTheWalk) {
   // The facade rejects non-finite input, but the accelerator itself must
-  // still catch it: an Inf element keeps the Gram diagonal nonnegative
-  // but makes the first kernel that touches its column compute the
-  // coherence |Inf|/Inf = NaN. Every column meets a kernel in the first
-  // orth-layer of its block pair, so the message names a tile of that
-  // layer. The cause is the data, so no tile is attributed for masking.
+  // still catch it: an Inf element makes its column's squared norm Inf,
+  // so the first pair that visits the column has a non-finite coherence.
+  // The host data plane diagnoses it before the fabric walk and names
+  // that pair and the sweep. The cause is the data, so no tile is
+  // attributed, no recovery round is spent and no fabric time is used.
   HeteroSvdConfig cfg = small_config();
   cfg.p_task = 1;
-  cfg.fault_retries = 0;  // the fault is in the data; retries cannot help
+  ASSERT_GT(cfg.fault_retries, 0);
   auto batch = small_batch(1, 908);
   batch[0](3, 2) = std::numeric_limits<float>::infinity();
 
@@ -171,15 +172,19 @@ TEST(FaultRecovery, NonFiniteInputIsBlamedOnTheFirstKernelThatSawIt) {
   EXPECT_EQ(task.status, hsvd::SvdStatus::kFailed);
   EXPECT_TRUE(task.u.empty());
   EXPECT_FALSE(task.fault_tile.has_value());
-  EXPECT_NE(task.message.find("non-finite coherence"), std::string::npos)
-      << task.message;
-  const auto& first_layer = acc.placement().tasks[0].orth.front();
-  EXPECT_TRUE(std::any_of(first_layer.begin(), first_layer.end(),
-                          [&](const versal::TileCoord& tile) {
-                            return task.message.find(
-                                       "tile " + versal::to_string(tile)) !=
-                                   std::string::npos;
-                          }))
+  EXPECT_EQ(run.recovery_runs, 0);
+  EXPECT_TRUE(acc.masked_tiles().empty());
+  EXPECT_EQ(run.stats.kernel_invocations, 0u);
+  const auto& visits = acc.pair_sequence().sweep(0);
+  const auto first =
+      std::find_if(visits.begin(), visits.end(), [](const auto& pair) {
+        return pair.left == 2 || pair.right == 2;
+      });
+  ASSERT_NE(first, visits.end());
+  EXPECT_NE(task.message.find(cat("non-finite coherence for column pair (",
+                                  first->left, ", ", first->right,
+                                  ") in sweep 1")),
+            std::string::npos)
       << task.message;
 }
 

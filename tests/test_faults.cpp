@@ -3,11 +3,11 @@
 // the AieArraySim hooks that consult it.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
+#include "common/format.hpp"
 #include "versal/array.hpp"
 #include "versal/faults.hpp"
 #include "versal/resources.hpp"
@@ -87,33 +87,30 @@ TEST(FaultInjector, BitFlipIsSingleBitAndSeedDeterministic) {
   plan.seed = 77;
   plan.faults.push_back({FaultKind::kMemoryBitFlip, {4, 4}, 0, 0, 0.0, 1.0});
 
-  const std::vector<float> original = ramp(32);
-  std::vector<float> first = original;
   FaultInjector a(plan);
-  EXPECT_TRUE(a.corrupt_payload({4, 4}, first));
-
-  // Exactly one bit differs from the original.
-  int flipped_bits = 0;
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    std::uint32_t x, y;
-    std::memcpy(&x, &original[i], sizeof(x));
-    std::memcpy(&y, &first[i], sizeof(y));
-    flipped_bits += std::popcount(x ^ y);
-  }
-  EXPECT_EQ(flipped_bits, 1);
+  const std::vector<BitFlip> first = a.corrupt_payload({4, 4}, 32);
+  // Exactly one bit of one word of the 32-word buffer.
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_LT(first[0].word, 32u);
+  EXPECT_GE(first[0].bit, 0);
+  EXPECT_LT(first[0].bit, 32);
+  ASSERT_EQ(a.events().size(), 1u);
+  EXPECT_EQ(a.events()[0].detail,
+            cat("bit ", first[0].bit, " of word ", first[0].word,
+                " flipped at ", to_string(TileCoord{4, 4})));
+  // One-shot: the next buffer staged on the tile is clean.
+  EXPECT_TRUE(a.corrupt_payload({4, 4}, 32).empty());
 
   // A fresh injector with the same plan corrupts the same bit.
-  std::vector<float> second = original;
   FaultInjector b(plan);
-  EXPECT_TRUE(b.corrupt_payload({4, 4}, second));
-  EXPECT_EQ(first, second);
+  EXPECT_EQ(b.corrupt_payload({4, 4}, 32), first);
 
   // A different seed (almost surely) picks a different bit.
   plan.seed = 78;
-  std::vector<float> third = original;
   FaultInjector c(plan);
-  EXPECT_TRUE(c.corrupt_payload({4, 4}, third));
-  EXPECT_NE(first, third);
+  const std::vector<BitFlip> third = c.corrupt_payload({4, 4}, 32);
+  ASSERT_EQ(third.size(), 1u);
+  EXPECT_NE(third, first);
 }
 
 TEST(FaultInjector, ResetRearms) {
@@ -161,15 +158,18 @@ TEST(FaultArray, DroppedDmaNeverLandsTheShadow) {
   plan.faults.push_back({FaultKind::kDmaDrop, {1, 1}, 0, 0, 0.0, 1.0});
   FaultInjector inj(plan);
   array.attach_faults(&inj);
-  array.memory({1, 1}).store("c0.t0", ramp(16));
-  const double done = array.dma_move({1, 1}, {5, 5}, "c0.t0", 0.0);
+  const BufferId c0{0, 0, false};
+  array.memory({1, 1}).store(c0, BufferRecord{64, {}});
+  const double done = array.dma_move({1, 1}, {5, 5}, c0, 0.0);
   EXPECT_GT(done, 0.0);  // the engine still burned its time
-  EXPECT_FALSE(array.memory({5, 5}).contains("c0.t0#dma"));
-  EXPECT_TRUE(array.memory({1, 1}).contains("c0.t0"));  // source intact
+  EXPECT_FALSE(array.memory({5, 5}).contains(BufferId{0, 0, true}));
+  EXPECT_EQ(array.memory({5, 5}).used_bytes(), 0u);
+  EXPECT_TRUE(array.memory({1, 1}).contains(c0));  // source intact
   // The next DMA from the same tile is clean (one-shot).
-  array.memory({1, 1}).store("c1.t0", ramp(16));
-  array.dma_move({1, 1}, {5, 5}, "c1.t0", 0.0);
-  EXPECT_TRUE(array.memory({5, 5}).contains("c1.t0#dma"));
+  const BufferId c1{0, 1, false};
+  array.memory({1, 1}).store(c1, BufferRecord{64, {}});
+  array.dma_move({1, 1}, {5, 5}, c1, 0.0);
+  EXPECT_TRUE(array.memory({5, 5}).contains(BufferId{0, 1, true}));
 }
 
 TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
@@ -181,14 +181,21 @@ TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
   array.attach_faults(&inj);
   Packet packet;
   packet.header = {0, 4, 2};
-  packet.payload = ramp(24);
-  const std::uint64_t sent = buffer_checksum(packet.payload);
-  array.stream_packet({2, 7}, packet, 0.0, /*store_payload=*/true);
-  ASSERT_TRUE(array.memory({2, 7}).contains("c4.t2"));
-  const auto stored = array.memory({2, 7}).load("c4.t2");
-  EXPECT_NE(buffer_checksum(stored), sent);
+  packet.payload_bytes = 24 * sizeof(float);
+  array.stream_packet({2, 7}, packet, 0.0);
+  const BufferId stored{2, 4, false};
+  ASSERT_TRUE(array.memory({2, 7}).contains(stored));
+  // The Rx integrity check fires on a record whose net flips are
+  // non-empty: the stored column no longer matches what was sent.
+  const BufferRecord& record = array.memory({2, 7}).load(stored);
+  EXPECT_TRUE(record.corrupted());
+  ASSERT_EQ(record.flips.size(), 1u);
+  EXPECT_LT(record.flips[0].word, 24u);
   ASSERT_EQ(inj.events().size(), 1u);
   EXPECT_EQ(inj.events().front().kind, FaultKind::kMemoryBitFlip);
+  // A DMA shadow of the corrupted buffer carries the flip along.
+  array.dma_move({2, 7}, {6, 7}, stored, 0.0);
+  EXPECT_TRUE(array.memory({6, 7}).load(BufferId{2, 4, true}).corrupted());
 }
 
 TEST(FaultArray, StallStretchesTheTimelineOnly) {
@@ -200,15 +207,16 @@ TEST(FaultArray, StallStretchesTheTimelineOnly) {
   stalled_array.attach_faults(&inj);
   Packet packet;
   packet.header = {0, 0, 0};
-  packet.payload = ramp(16);
-  const double clean_done =
-      clean_array.stream_packet({0, 2}, packet, 0.0, true);
-  const double stalled_done =
-      stalled_array.stream_packet({0, 2}, packet, 0.0, true);
+  packet.payload_bytes = 16 * sizeof(float);
+  const double clean_done = clean_array.stream_packet({0, 2}, packet, 0.0);
+  const double stalled_done = stalled_array.stream_packet({0, 2}, packet, 0.0);
   EXPECT_NEAR(stalled_done - clean_done, 5e-6, 1e-12);
   // Payload intact: stalls never corrupt.
-  EXPECT_EQ(stalled_array.memory({0, 2}).load("c0.t0"),
-            clean_array.memory({0, 2}).load("c0.t0"));
+  const BufferRecord& stalled =
+      stalled_array.memory({0, 2}).load(BufferId{0, 0, false});
+  EXPECT_FALSE(stalled.corrupted());
+  EXPECT_EQ(stalled.bytes,
+            clean_array.memory({0, 2}).load(BufferId{0, 0, false}).bytes);
 }
 
 }  // namespace

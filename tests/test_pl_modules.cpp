@@ -52,26 +52,27 @@ class SenderTest : public ::testing::Test {
 };
 
 TEST_F(SenderTest, RoutesPayloadThroughForwardingTable) {
-  std::vector<float> payload(16, 1.0f);
-  const double done = sender_->send_column(0, 1, /*column=*/7, /*task=*/0, 0.0,
-                                           payload, 64);
+  const double done =
+      sender_->send_column(0, 1, /*column=*/7, /*task=*/0, 0.0, 64);
   EXPECT_GT(done, 0.0);
-  EXPECT_TRUE(array_.memory({1, 1}).contains("c7.t0"));
-  EXPECT_FALSE(array_.memory({1, 0}).contains("c7.t0"));
+  const versal::BufferId column{0, 7, false};
+  EXPECT_TRUE(array_.memory({1, 1}).contains(column));
+  EXPECT_EQ(array_.memory({1, 1}).load(column).bytes, 64u);
+  EXPECT_FALSE(array_.memory({1, 0}).contains(column));
 }
 
 TEST_F(SenderTest, SerializesPerChannel) {
-  const double a = sender_->send_column(0, 0, 1, 0, 0.0, {}, 1000);
-  const double b = sender_->send_column(0, 0, 2, 0, 0.0, {}, 1000);
-  const double c = sender_->send_column(1, 1, 3, 0, 0.0, {}, 1000);
+  const double a = sender_->send_column(0, 0, 1, 0, 0.0, 1000);
+  const double b = sender_->send_column(0, 0, 2, 0, 0.0, 1000);
+  const double c = sender_->send_column(1, 1, 3, 0, 0.0, 1000);
   EXPECT_GT(b, a);        // same channel: queued
   EXPECT_LT(c, b);        // other channel: parallel
 }
 
 TEST_F(SenderTest, UnknownDestinationThrows) {
-  EXPECT_THROW(sender_->send_column(0, 9, 0, 0, 0.0, {}, 64),
+  EXPECT_THROW(sender_->send_column(0, 9, 0, 0, 0.0, 64),
                std::invalid_argument);
-  EXPECT_THROW(sender_->send_column(2, 0, 0, 0, 0.0, {}, 64),
+  EXPECT_THROW(sender_->send_column(2, 0, 0, 0, 0.0, 64),
                std::invalid_argument);
 }
 

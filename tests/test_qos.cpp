@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "accel/accelerator.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -534,6 +535,71 @@ TEST(QosServer, CoalescedBatchIsBitIdenticalToSerialExecution) {
   const obs::MetricsSnapshot snap = observer.metrics().snapshot();
   EXPECT_EQ(snap.counters.at("serve.batch.dispatches"), 2u);
   EXPECT_EQ(snap.histograms.at("serve.batch.fill").total, 2u);
+}
+
+TEST(QosServer, BreakerFastFailsAreNotDispatches) {
+  // Only a job that reaches svd() / svd_batch() is a fabric dispatch. A
+  // sticky hang trips the breaker (threshold 1); the coalesced batch of
+  // three behind it and a later solo request then fast-fail without
+  // touching the fabric, so they keep batch_size 0 and leave the
+  // dispatch counters and the fill histogram alone.
+  FakeClock clock;
+  obs::ObsContext observer;
+  ServerOptions options;
+  options.workers = 1;
+  options.svd.config = small_config();
+  options.svd.fault_retries = 0;
+  options.retry.max_attempts = 1;
+  options.breaker.failure_threshold = 1;
+  options.breaker.open_seconds = 100.0;
+  options.clock = &clock;
+  options.observer = &observer;
+  options.start_paused = true;
+  options.qos.coalesce_max_batch = 3;
+  SvdServer server(options);
+
+  versal::FaultPlan plan;
+  plan.faults.push_back(
+      {versal::FaultKind::kTileHang,
+       accel::HeteroSvdAccelerator(small_config()).placement().tasks[0].orth
+           .front()[0],
+       0, 0, 0.0, 1.0});
+  versal::FaultInjector injector(plan);
+  Request hang;
+  hang.matrix = small_matrix(90);
+  hang.fault_injector = &injector;  // keeps it solo
+  auto failed = server.submit(std::move(hang));
+  std::vector<std::future<Response>> coalesced;
+  for (int i = 0; i < 3; ++i) {
+    coalesced.push_back(
+        server.submit(small_matrix(91 + static_cast<std::uint64_t>(i))));
+  }
+  server.resume();
+
+  const Response first = failed.get();
+  EXPECT_EQ(first.status, ServeStatus::kFailed);
+  EXPECT_EQ(first.batch_size, 1u);
+  EXPECT_EQ(server.breaker_state(), serve::BreakerState::kOpen);
+  for (auto& future : coalesced) {
+    const Response r = future.get();
+    EXPECT_EQ(r.status, ServeStatus::kCircuitOpen);
+    EXPECT_EQ(r.batch_size, 0u);
+  }
+  Request healthy;
+  healthy.matrix = small_matrix(94);
+  const Response solo = server.serve(std::move(healthy));
+  EXPECT_EQ(solo.status, ServeStatus::kCircuitOpen);
+  EXPECT_EQ(solo.attempts, 0);
+  EXPECT_EQ(solo.batch_size, 0u);
+
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.circuit_open, 4u);
+  EXPECT_EQ(stats.batch_dispatches, 1u);
+  EXPECT_EQ(stats.batch_tasks, 1u);
+  EXPECT_EQ(stats.tenants.at("default").coalesced, 0u);
+  const obs::MetricsSnapshot snap = observer.metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("serve.batch.dispatches"), 1u);
+  EXPECT_EQ(snap.histograms.at("serve.batch.fill").total, 1u);
 }
 
 TEST(QosServer, CoalescingUnderDseConfigMatchesPlainSvd) {
