@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <numeric>
 
 #include "accel/kernels.hpp"
+#include "shard/merge.hpp"
+#include "shard/model.hpp"
 #include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "jacobi/block.hpp"
@@ -144,54 +147,110 @@ TaskResult solve_task(const HeteroSvdConfig& config,
   return result;
 }
 
-HeteroSvdAccelerator::HeteroSvdAccelerator(const HeteroSvdConfig& config)
-    : config_(config),
-      noc_(config.device.ddr_ports, config.device.ddr_bytes_per_s,
-           config.device.ddr_latency_s) {
+HeteroSvdAccelerator::Fabric::Fabric(const versal::DeviceResources& device)
+    : noc(device.ddr_ports, device.ddr_bytes_per_s, device.ddr_latency_s) {}
+
+HeteroSvdAccelerator::HeteroSvdAccelerator(const HeteroSvdConfig& config,
+                                           int shards)
+    : config_(config) {
+  HSVD_REQUIRE(shards >= 1, "need at least one shard");
   config_.validate();
-  rebuild();
+  fabrics_.reserve(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) fabrics_.emplace_back(config_.device);
+  for (std::size_t s = 0; s < fabrics_.size(); ++s) place(s);
+  compile_schedule();
+  if (shards > 1) {
+    link_ = std::make_unique<shard::InterShardLink>(
+        shards, config_.device, config_.pl_frequency_hz);
+  }
 }
 
-void HeteroSvdAccelerator::rebuild() {
-  auto placed = try_place(config_, masked_);
+void HeteroSvdAccelerator::compile_schedule() {
+  const int p = config_.blocks();
+  const int s_count = shards();
+  sequence_ = jacobi::block_sequence(config_.ordering,
+                                     static_cast<int>(config_.padded_cols()),
+                                     config_.p_eng);
+  // The ring's rounds are block_pair_rounds() with the bye pair of an
+  // odd count kept as a phantom block p, so one array walks exactly the
+  // single-array block order.
+  const jacobi::EngineSchedule ring = jacobi::block_ring_schedule(p);
+  round_pairs_.assign(ring.size(), std::vector<std::vector<RingPair>>(
+                                       static_cast<std::size_t>(s_count)));
+  crossings_.assign(ring.size(), {});
+  for (std::size_t r = 0; r < ring.size(); ++r) {
+    for (std::size_t j = 0; j < ring[r].size(); ++j) {
+      const jacobi::ColumnPair& pair = ring[r][j];
+      if (pair.left >= p || pair.right >= p) continue;  // bye
+      round_pairs_[r][static_cast<std::size_t>(
+                          jacobi::shard_of_slot(static_cast<int>(j), s_count))]
+          .push_back(RingPair{pair.left, pair.right});
+    }
+    // Ring rotation to the next round; the wrap-around returns every
+    // block to its round-0 home for the next sweep and, after the last
+    // sweep, for normalization. Moves inside one array stay in its PL
+    // buffers for free.
+    for (const auto& mv : jacobi::sharded_moves_between(
+             ring, r, (r + 1) % ring.size(), s_count)) {
+      if (mv.move.column >= p || !mv.crosses_shards()) continue;
+      crossings_[r].push_back(
+          Crossing{mv.move.column, mv.from_shard, mv.to_shard});
+    }
+  }
+  std::vector<int> home(static_cast<std::size_t>(p), 0);
+  for (std::size_t j = 0; j < ring.front().size(); ++j) {
+    const int s = jacobi::shard_of_slot(static_cast<int>(j), s_count);
+    for (const int blk : {ring.front()[j].left, ring.front()[j].right}) {
+      if (blk < p) home[static_cast<std::size_t>(blk)] = s;
+    }
+  }
+  home_blocks_.assign(static_cast<std::size_t>(s_count), {});
+  for (int blk = 0; blk < p; ++blk) {
+    home_blocks_[static_cast<std::size_t>(home[static_cast<std::size_t>(blk)])]
+        .push_back(blk);
+  }
+  // Loop-switching overhead of the HLS state machines (t_hls): a fixed
+  // number of PL cycles charged at each block-pair launch.
+  hls_overhead_s_ = 64.0 / config_.pl_frequency_hz;
+}
+
+void HeteroSvdAccelerator::place(std::size_t shard) {
+  Fabric& f = fabrics_[shard];
+  auto placed = try_place(config_, f.masked);
   if (!placed.has_value()) {
     throw PlacementError(
         cat("configuration does not fit the healthy device: P_eng=",
             config_.p_eng, " P_task=", config_.p_task, " (",
-            config_.orth_layers(), " orth-layers, ", masked_.size(),
+            config_.orth_layers(), " orth-layers, ", f.masked.size(),
             " masked tiles)"));
   }
-  placement_ = std::move(*placed);
+  f.placement = std::move(*placed);
 
   const versal::ArrayGeometry geo(config_.device.aie_rows,
                                   config_.device.aie_cols);
-  array_ = std::make_unique<versal::AieArraySim>(geo, config_.device);
-  array_->attach_faults(faults_);
-  array_->attach_observer(obs_);
+  f.array = std::make_unique<versal::AieArraySim>(geo, config_.device);
+  f.array->attach_faults(shard == 0 ? faults_ : nullptr);
+  f.array->attach_observer(obs_);
 
-  slot_schedules_.clear();
-  dataflows_.clear();
-  channels_.clear();
+  f.slot_schedules.clear();
+  f.dataflows.clear();
+  f.channels.clear();
 
   // The shifting ring ordering aligns its shifts with the physical parity
   // of the first orth row, which can differ between vertically stacked
   // task slots; every slot therefore owns its schedule and dataflow.
   // (All slots share the same pair coverage, only slot assignment moves.)
   const int pair_cols = config_.pair_width();
-  for (const auto& task : placement_.tasks) {
+  for (const auto& task : f.placement.tasks) {
     const int first_row = task.orth.front().front().row;
     auto schedule =
         jacobi::make_schedule(config_.ordering, pair_cols, first_row % 2);
-    dataflows_.push_back(build_dataflow(schedule, task, geo,
-                                        config_.relocated_outputs
-                                            ? MemoryStrategy::kRelocated
-                                            : MemoryStrategy::kNaive));
-    slot_schedules_.push_back(std::move(schedule));
+    f.dataflows.push_back(build_dataflow(schedule, task, geo,
+                                         config_.relocated_outputs
+                                             ? MemoryStrategy::kRelocated
+                                             : MemoryStrategy::kNaive));
+    f.slot_schedules.push_back(std::move(schedule));
   }
-  block_rounds_ = jacobi::block_pair_rounds(config_.blocks());
-  sequence_ = jacobi::block_sequence(config_.ordering,
-                                     static_cast<int>(config_.padded_cols()),
-                                     config_.p_eng);
 
   const double plio_rate_tx =
       std::min(plio_model_.plio_bits / 8.0 * config_.pl_frequency_hz,
@@ -212,26 +271,23 @@ void HeteroSvdAccelerator::rebuild() {
     // The dynamic-forwarding rule of section III-C: dest_id e routes to
     // engine e of the slot's first orth-layer.
     versal::ForwardingTable forwarding;
-    const auto& layer0 = placement_.tasks[static_cast<std::size_t>(t)].orth.front();
+    const auto& layer0 =
+        f.placement.tasks[static_cast<std::size_t>(t)].orth.front();
     for (std::size_t e = 0; e < layer0.size(); ++e) {
       forwarding.bind(static_cast<std::uint32_t>(e), layer0[e]);
     }
     ch->sender = std::make_unique<Sender>(ch->tx[0], ch->tx[1],
-                                          std::move(forwarding), *array_);
+                                          std::move(forwarding), *f.array);
     ch->receiver =
-        std::make_unique<Receiver>(ch->rx[0], ch->rx[1], array_.get());
-    channels_.push_back(std::move(ch));
+        std::make_unique<Receiver>(ch->rx[0], ch->rx[1], f.array.get());
+    f.channels.push_back(std::move(ch));
   }
-  apply_plio_degradation();
-
-  // Loop-switching overhead of the HLS state machines (t_hls): a fixed
-  // number of PL cycles charged at each block-pair launch.
-  hls_overhead_s_ = 64.0 / config_.pl_frequency_hz;
+  if (shard == 0) apply_plio_degradation();
 }
 
 void HeteroSvdAccelerator::attach_observer(obs::ObsContext* observer) {
   obs_ = observer;
-  array_->attach_observer(observer);
+  for (Fabric& f : fabrics_) f.array->attach_observer(observer);
 }
 
 void HeteroSvdAccelerator::attach_cancellation(
@@ -241,16 +297,17 @@ void HeteroSvdAccelerator::attach_cancellation(
 
 void HeteroSvdAccelerator::attach_faults(versal::FaultInjector* faults) {
   faults_ = faults;
-  array_->attach_faults(faults);
+  fabrics_.front().array->attach_faults(faults);
   apply_plio_degradation();
 }
 
 void HeteroSvdAccelerator::apply_plio_degradation() {
   if (faults_ == nullptr) return;
-  for (std::size_t t = 0; t < channels_.size(); ++t) {
+  const auto& channels = fabrics_.front().channels;
+  for (std::size_t t = 0; t < channels.size(); ++t) {
     const double scale = faults_->plio_scale(static_cast<int>(t));
     if (scale >= 1.0) continue;
-    auto& ch = *channels_[t];
+    auto& ch = *channels[t];
     for (versal::Channel* c : {&ch.tx[0], &ch.tx[1], &ch.rx[0], &ch.rx[1],
                                &ch.norm_tx, &ch.norm_rx}) {
       c->degrade(scale);
@@ -258,24 +315,38 @@ void HeteroSvdAccelerator::apply_plio_degradation() {
   }
 }
 
+const PlacementResult& HeteroSvdAccelerator::placement(int shard) const {
+  HSVD_REQUIRE(shard >= 0 && shard < shards(), "shard index out of range");
+  return fabrics_[static_cast<std::size_t>(shard)].placement;
+}
+
 const DataflowPlan& HeteroSvdAccelerator::dataflow(std::size_t task_slot) const {
-  HSVD_REQUIRE(task_slot < dataflows_.size(), "task slot out of range");
-  return dataflows_[task_slot];
+  const auto& dataflows = fabrics_.front().dataflows;
+  HSVD_REQUIRE(task_slot < dataflows.size(), "task slot out of range");
+  return dataflows[task_slot];
+}
+
+versal::ArrayStats HeteroSvdAccelerator::array_stats() const {
+  versal::ArrayStats sum;
+  for (const Fabric& f : fabrics_) sum += f.array->stats();
+  return sum;
 }
 
 void HeteroSvdAccelerator::purge_task_buffers(int slot, int task_id) {
-  const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
   const auto id = static_cast<std::uint32_t>(task_id);
-  for (const auto& layer : task.orth) {
-    for (const auto& tile : layer) array_->memory(tile).erase_task(id);
+  for (Fabric& f : fabrics_) {
+    const auto& task = f.placement.tasks[static_cast<std::size_t>(slot)];
+    for (const auto& layer : task.orth) {
+      for (const auto& tile : layer) f.array->memory(tile).erase_task(id);
+    }
+    for (const auto& tile : task.mem) f.array->memory(tile).erase_task(id);
+    for (const auto& tile : task.norm) f.array->memory(tile).erase_task(id);
   }
-  for (const auto& tile : task.mem) array_->memory(tile).erase_task(id);
-  for (const auto& tile : task.norm) array_->memory(tile).erase_task(id);
 }
 
-double HeteroSvdAccelerator::stage_from_ddr(int slot, double when,
+double HeteroSvdAccelerator::stage_from_ddr(Fabric& f, int slot, double when,
                                             double bytes) {
-  const double done = noc_.transfer_for_slot(slot, when, bytes);
+  const double done = f.noc.transfer_for_slot(slot, when, bytes);
   if (obs_ != nullptr) {
     obs_->metrics().add("sim.ddr.transfers");
     obs_->metrics().add("sim.ddr.bytes", static_cast<std::uint64_t>(bytes));
@@ -288,28 +359,15 @@ double HeteroSvdAccelerator::stage_from_ddr(int slot, double when,
   return done;
 }
 
-void HeteroSvdAccelerator::reset_timelines() {
-  array_->reset_time();
-  for (auto& ch : channels_) {
-    ch->tx[0].timeline().reset();
-    ch->tx[1].timeline().reset();
-    ch->rx[0].timeline().reset();
-    ch->rx[1].timeline().reset();
-    ch->norm_tx.timeline().reset();
-    ch->norm_rx.timeline().reset();
-  }
-  noc_.reset_time();
-}
-
 HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
-    int slot, int task_id, int bu, int bv, double launch) {
+    Fabric& f, int slot, int task_id, int bu, int bv, double launch) {
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
   const int layers = config_.orth_layers();
-  const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
-  const auto& schedule = slot_schedules_[static_cast<std::size_t>(slot)];
-  const auto& plan = dataflows_[static_cast<std::size_t>(slot)];
-  auto& ch = *channels_[static_cast<std::size_t>(slot)];
+  const auto& task = f.placement.tasks[static_cast<std::size_t>(slot)];
+  const auto& schedule = f.slot_schedules[static_cast<std::size_t>(slot)];
+  const auto& plan = f.dataflows[static_cast<std::size_t>(slot)];
+  auto& ch = *f.channels[static_cast<std::size_t>(slot)];
   const std::uint64_t col_bytes = m * sizeof(float);
   const double t_orth = kernels_.orth_seconds(m);
 
@@ -340,13 +398,13 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
       const double in_ready =
           std::max(arrival[static_cast<std::size_t>(pair.left)],
                    arrival[static_cast<std::size_t>(pair.right)]);
-      const double end = array_->run_kernel(tile, in_ready, t_orth);
+      const double end = f.array->run_kernel(tile, in_ready, t_orth);
       if (!std::isfinite(end)) {
         throw FaultDetected(cat("core ", versal::to_string(tile),
                                 " hung during orthogonalization"),
                             tile.row, tile.col, in_ready);
       }
-      const auto& mem = array_->memory(tile);
+      const auto& mem = f.array->memory(tile);
       if (!mem.contains(column_buffer(
               task_id, global[static_cast<std::size_t>(pair.left)])) ||
           !mem.contains(column_buffer(
@@ -364,15 +422,15 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
         const versal::BufferId id =
             column_buffer(task_id, global[static_cast<std::size_t>(mv.column)]);
         if (!mv.is_dma) {
-          array_->neighbour_move(mv.src, mv.dst, id);
+          f.array->neighbour_move(mv.src, mv.dst, id);
           continue;
         }
-        const double done = array_->dma_move(
+        const double done = f.array->dma_move(
             mv.src, mv.dst, id, arrival[static_cast<std::size_t>(mv.column)]);
         arrival[static_cast<std::size_t>(mv.column)] = done;
         // Resolve the DMA shadow: the consumer's copy becomes the live
         // buffer, the producer's original is released.
-        auto& dst_mem = array_->memory(mv.dst);
+        auto& dst_mem = f.array->memory(mv.dst);
         const versal::BufferId shadow{id.task, id.column, true};
         if (!dst_mem.contains(shadow)) {
           throw FaultDetected(cat("DMA of ", versal::to_string(id), " out of ",
@@ -381,7 +439,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                               mv.src.row, mv.src.col, done);
         }
         versal::BufferRecord record = dst_mem.take(shadow);
-        array_->memory(mv.src).erase(id);
+        f.array->memory(mv.src).erase(id);
         dst_mem.store(id, std::move(record));
       }
     }
@@ -399,7 +457,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                  [static_cast<std::size_t>(last[static_cast<std::size_t>(c)].slot)];
     const versal::BufferId id =
         column_buffer(task_id, global[static_cast<std::size_t>(c)]);
-    auto& mem = array_->memory(tile);
+    auto& mem = f.array->memory(tile);
     if (!mem.contains(id)) {
       throw FaultDetected(cat("column ", versal::to_string(id),
                               " never reached tile ", versal::to_string(tile),
@@ -421,12 +479,12 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   return completion;
 }
 
-double HeteroSvdAccelerator::execute_norm_block(int slot, int blk,
+double HeteroSvdAccelerator::execute_norm_block(Fabric& f, int slot, int blk,
                                                 double ready) {
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
-  const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
-  auto& ch = *channels_[static_cast<std::size_t>(slot)];
+  const auto& task = f.placement.tasks[static_cast<std::size_t>(slot)];
+  auto& ch = *f.channels[static_cast<std::size_t>(slot)];
   const double col_bytes = static_cast<double>(m) * sizeof(float);
   const double block_bytes = col_bytes * k;
   const double t_norm = kernels_.norm_seconds(m);
@@ -444,7 +502,7 @@ double HeteroSvdAccelerator::execute_norm_block(int slot, int blk,
   double blk_done = 0.0;
   for (int i = 0; i < k; ++i) {
     const versal::TileCoord tile = task.norm[static_cast<std::size_t>(i)];
-    const double end = array_->run_kernel(tile, tx_done, t_norm);
+    const double end = f.array->run_kernel(tile, tx_done, t_norm);
     if (!std::isfinite(end)) {
       throw FaultDetected(cat("core ", versal::to_string(tile),
                               " hung during normalization"),
@@ -469,19 +527,55 @@ double HeteroSvdAccelerator::execute_norm_block(int slot, int blk,
 }
 
 double HeteroSvdAccelerator::execute_task(int slot, double ready, int sweeps,
-                                          int task_id) {
-  const int p = config_.blocks();
+                                          int task_id, int& fault_shard) {
   const double block_bytes =
       static_cast<double>(config_.rows) * sizeof(float) * config_.p_eng;
+  const std::size_t s_count = fabrics_.size();
+  // S > 1 arrays run each round on host threads, unless an enabled
+  // tracer needs a reproducible event order.
+  const int threads =
+      s_count > 1 && (obs_ == nullptr || obs_->tracer() == nullptr)
+          ? common::ThreadPool::resolve_threads(config_.host_threads)
+          : 1;
+  // Runs body(s) for every array: concurrently on `threads` host threads
+  // (every write is array-disjoint: its own simulator, channels, NoC and
+  // its pairs' block ready times), else in array order. Each array runs
+  // to completion or to its own detection point; the fault of the lowest
+  // raising array is then rethrown, so the outcome is thread-count
+  // invariant.
+  std::vector<std::exception_ptr> faults(s_count);
+  const auto for_each_shard = [&](const char* label, const auto& body) {
+    const auto guarded = [&](std::size_t s) {
+      try {
+        body(s);
+      } catch (const hsvd::FaultDetected&) {
+        faults[s] = std::current_exception();
+      }
+    };
+    if (threads > 1) {
+      common::ThreadPool::shared().parallel_for(s_count, threads, guarded,
+                                                label);
+    } else {
+      for (std::size_t s = 0; s < s_count; ++s) guarded(s);
+    }
+    for (std::size_t s = 0; s < s_count; ++s) {
+      if (faults[s]) {
+        fault_shard = static_cast<int>(s);
+        std::rethrow_exception(faults[s]);
+      }
+    }
+  };
 
   // Stage DDR -> PL URAM buffers, one block at a time (eq. (12)), via
-  // the NoC DDRMC port wired to this task slot.
-  DataArrangement arrangement(
-      [this, slot](double when, double bytes) {
-        return stage_from_ddr(slot, when, bytes);
-      },
-      p, block_bytes);
-  arrangement.stage_from_ddr(ready);
+  // the NoC DDRMC port wired to this task slot on each block's home
+  // array; the arrays' staging streams run concurrently.
+  std::vector<double> block_ready(static_cast<std::size_t>(config_.blocks()));
+  for (std::size_t s = 0; s < s_count; ++s) {
+    for (const int blk : home_blocks_[s]) {
+      block_ready[static_cast<std::size_t>(blk)] =
+          stage_from_ddr(fabrics_[s], slot, ready, block_bytes);
+    }
+  }
 
   for (int iter = 0; iter < sweeps; ++iter) {
     // Sweep-barrier cancellation point: a deadline or a preemption
@@ -494,26 +588,44 @@ double HeteroSvdAccelerator::execute_task(int slot, double ready, int sweeps,
           cat(cancel_->cancelled() ? "cancelled" : "deadline expired",
               " at sweep barrier ", iter, " of task ", task_id));
     }
-    for (const auto& round : block_rounds_) {
-      for (const auto& [bu, bv] : round) {
-        const double launch = std::max(arrangement.block_ready(bu),
-                                       arrangement.block_ready(bv)) +
-                              hls_overhead_s_;
-        const PairCompletion done =
-            execute_block_pair(slot, task_id, bu, bv, launch);
-        arrangement.set_block_ready(bu, done.done_u);
-        arrangement.set_block_ready(bv, done.done_v);
+    for (std::size_t r = 0; r < round_pairs_.size(); ++r) {
+      // The pairs of a round are disjoint, so the arrays run them
+      // concurrently; within an array they serialize on its PLIO
+      // channels in site order.
+      for_each_shard("shard-round", [&](std::size_t s) {
+        for (const RingPair& pair : round_pairs_[r][s]) {
+          const auto u = static_cast<std::size_t>(pair.bu);
+          const auto v = static_cast<std::size_t>(pair.bv);
+          const double launch =
+              std::max(block_ready[u], block_ready[v]) + hls_overhead_s_;
+          const PairCompletion done = execute_block_pair(
+              fabrics_[s], slot, task_id, pair.bu, pair.bv, launch);
+          block_ready[u] = done.done_u;
+          block_ready[v] = done.done_v;
+        }
+      });
+      // Blocks bound for another array cross the inter-shard link, in
+      // schedule order on the coordinator.
+      for (const Crossing& c : crossings_[r]) {
+        double& at = block_ready[static_cast<std::size_t>(c.block)];
+        at = link_->transfer(c.from, c.to, at, block_bytes);
       }
     }
   }
 
-  // ---- Normalization stage (lines 19-25 of Algorithm 1) ----------------
-  double task_end = 0.0;
-  for (int blk = 0; blk < p; ++blk) {
-    task_end = std::max(
-        task_end,
-        execute_norm_block(slot, blk, arrangement.block_ready(blk) + hls_overhead_s_));
-  }
+  // ---- Normalization stage (lines 19-25 of Algorithm 1), on each block's
+  // home array ------------------------------------------------------------
+  std::vector<double> norm_done(s_count, 0.0);
+  for_each_shard("shard-norm", [&](std::size_t s) {
+    for (const int blk : home_blocks_[s]) {
+      norm_done[s] = std::max(
+          norm_done[s],
+          execute_norm_block(
+              fabrics_[s], slot, blk,
+              block_ready[static_cast<std::size_t>(blk)] + hls_overhead_s_));
+    }
+  });
+  const double task_end = *std::max_element(norm_done.begin(), norm_done.end());
 
   if (obs_ != nullptr) {
     obs_->metrics().add("sim.tasks.completed");
@@ -526,9 +638,20 @@ double HeteroSvdAccelerator::execute_task(int slot, double ready, int sweeps,
 }
 
 RunResult HeteroSvdAccelerator::execute_batch(
-    int batch_size, const std::vector<linalg::MatrixF>* batch) {
+    int batch_size, const std::vector<linalg::MatrixF>* batch,
+    std::vector<int>& fault_shards) {
   HSVD_REQUIRE(batch_size >= 1, "batch must contain at least one task");
-  reset_timelines();
+  for (Fabric& f : fabrics_) {
+    f.array->reset_time();
+    for (auto& ch : f.channels) {
+      for (versal::Channel* c : {&ch->tx[0], &ch->tx[1], &ch->rx[0],
+                                 &ch->rx[1], &ch->norm_tx, &ch->norm_rx}) {
+        c->timeline().reset();
+      }
+    }
+    f.noc.reset_time();
+  }
+  if (link_ != nullptr) link_->reset_time();
 
   // Task ids are assigned up front (batch order) so the id sequence is
   // identical whether the slot chains below run sequentially or on
@@ -538,6 +661,7 @@ RunResult HeteroSvdAccelerator::execute_batch(
 
   RunResult run;
   run.tasks.resize(static_cast<std::size_t>(batch_size));
+  fault_shards.assign(static_cast<std::size_t>(batch_size), -1);
 
   // Per-task fault isolation: a detected fault fails only its own task.
   // The failed task's stranded tile buffers are purged so the slot's
@@ -556,6 +680,7 @@ RunResult HeteroSvdAccelerator::execute_batch(
               " before task ", t, " on slot ", slot));
     }
     TaskResult task;
+    int fault_shard = -1;
     try {
       if (batch != nullptr) {
         task = solve_task(config_, sequence_, (*batch)[static_cast<std::size_t>(t)]);
@@ -563,12 +688,13 @@ RunResult HeteroSvdAccelerator::execute_batch(
         task.iterations = config_.iterations;
       }
       task.start_seconds = slot_free;
-      task.end_seconds =
-          execute_task(slot, slot_free, task.iterations, base_id + t);
+      task.end_seconds = execute_task(slot, slot_free, task.iterations,
+                                      base_id + t, fault_shard);
       slot_free = task.end_seconds;
     } catch (const hsvd::FaultDetected& e) {
       task = TaskResult::failed(e, slot_free);
       purge_task_buffers(slot, base_id + t);
+      fault_shards[static_cast<std::size_t>(t)] = fault_shard;
       if (obs_ != nullptr) {
         obs_->metrics().add("sim.fault.detected");
         if (obs::Tracer* tr = obs_->tracer()) {
@@ -594,16 +720,20 @@ RunResult HeteroSvdAccelerator::execute_batch(
   // tile, so injected outcomes are thread-count invariant too.) Slots
   // sharing a DDR port (P_task > ports) would interleave on shared
   // state, and an enabled tracer needs a reproducible event order, so
-  // those cases keep the sequential path.
-  const int chains = std::min(config_.p_task, batch_size);
+  // those cases keep the sequential path. A sharded task spans every
+  // array and shares the link's timelines, so S > 1 runs the batch as
+  // one chain on slot 0; its host parallelism is the per-round fan-out
+  // over arrays instead.
+  const int slots = shards() == 1 ? config_.p_task : 1;
+  const int chains = std::min(slots, batch_size);
   const int threads = common::ThreadPool::resolve_threads(config_.host_threads);
   const bool parallel_chains = threads > 1 && chains > 1 &&
-                               config_.p_task <= noc_.ports() &&
+                               config_.p_task <= fabrics_.front().noc.ports() &&
                                (obs_ == nullptr || obs_->tracer() == nullptr);
   const auto run_chain = [&](std::size_t slot_index) {
     const int slot = static_cast<int>(slot_index);
     double slot_free = 0.0;
-    for (int t = slot; t < batch_size; t += config_.p_task) {
+    for (int t = slot; t < batch_size; t += slots) {
       run_one(slot, slot_free, t);
     }
   };
@@ -622,7 +752,7 @@ RunResult HeteroSvdAccelerator::execute_batch(
         obs_ != nullptr ? obs_->tracer() : nullptr;
     std::vector<double> slot_free(static_cast<std::size_t>(chains), 0.0);
     for (int t = 0; t < batch_size; ++t) {
-      const int slot = t % config_.p_task;
+      const int slot = t % slots;
       const double host_start =
           host_trace != nullptr ? host_trace->host_now() : 0.0;
       run_one(slot, slot_free[static_cast<std::size_t>(slot)], t);
@@ -638,52 +768,57 @@ RunResult HeteroSvdAccelerator::execute_batch(
   }
   run.task_seconds = run.tasks.front().latency_seconds();
   run.throughput_tasks_per_s = batch_size / run.batch_seconds;
-  run.stats = array_->stats();
-  run.resources = perf::estimate_resources(config_, placement_);
-  run.core_utilization = array_->core_utilization(run.batch_seconds);
-  run.utilization = array_->utilization(run.batch_seconds);
+
+  // Counters sum over the arrays; utilization stacks them side by side.
+  std::vector<versal::ArrayStats> stats;
+  std::vector<versal::UtilizationReport> reports;
+  for (const Fabric& f : fabrics_) {
+    stats.push_back(f.array->stats());
+    reports.push_back(f.array->utilization(run.batch_seconds));
+  }
+  run.stats = shard::merge_stats(stats);
+  run.utilization = shard::merge_utilization(reports);
+  run.core_utilization =
+      shards() == 1
+          ? fabrics_.front().array->core_utilization(run.batch_seconds)
+          : run.utilization.core_utilization();
+  // Every array holds the same placement shape, so memory utilization
+  // stays the per-device fraction.
+  const perf::ResourceUsage single =
+      perf::estimate_resources(config_, fabrics_.front().placement);
+  run.resources = shard::replicate_resources(single, shards());
   run.memory_utilization =
-      static_cast<double>(run.resources.uram) / config_.device.total_uram;
+      static_cast<double>(single.uram) / config_.device.total_uram;
   return run;
 }
 
-bool HeteroSvdAccelerator::mask_tiles(
-    const std::vector<versal::TileCoord>& bad) {
-  std::vector<versal::TileCoord> saved = masked_;
-  masked_.insert(masked_.end(), bad.begin(), bad.end());
-  std::sort(masked_.begin(), masked_.end());
-  masked_.erase(std::unique(masked_.begin(), masked_.end()), masked_.end());
-  if (try_place(config_, masked_).has_value()) {
-    rebuild();
-    return true;
-  }
-  masked_ = std::move(saved);
-  return false;
-}
-
 bool HeteroSvdAccelerator::mask_and_replace(
-    const std::vector<versal::TileCoord>& bad) {
-  masked_.insert(masked_.end(), bad.begin(), bad.end());
-  std::sort(masked_.begin(), masked_.end());
-  masked_.erase(std::unique(masked_.begin(), masked_.end()), masked_.end());
+    std::size_t shard, const std::vector<versal::TileCoord>& bad) {
+  std::vector<versal::TileCoord>& masked = fabrics_[shard].masked;
+  masked.insert(masked.end(), bad.begin(), bad.end());
+  std::sort(masked.begin(), masked.end());
+  masked.erase(std::unique(masked.begin(), masked.end()), masked.end());
   // Try the current shape on the healthy array first; when it no longer
-  // fits, degrade task parallelism, then engine parallelism. (Degrading
-  // P_eng shrinks the per-task footprint quadratically -- (2k-1) layers
-  // of k engines -- so some configuration fits unless the masked set has
-  // consumed essentially the whole array.)
+  // fits, one array degrades task parallelism, then engine parallelism.
+  // (Degrading P_eng shrinks the per-task footprint quadratically --
+  // (2k-1) layers of k engines -- so some configuration fits unless the
+  // masked set has consumed essentially the whole array.) S > 1 arrays
+  // must keep the block structure identical, so they never degrade.
+  const bool may_degrade = shards() == 1;
   HeteroSvdConfig candidate = config_;
   const int original_p_task = config_.p_task;
   while (true) {
-    if (try_place(candidate, masked_).has_value()) {
+    if (try_place(candidate, masked).has_value()) {
       config_ = candidate;
-      rebuild();
+      compile_schedule();
+      place(shard);
       return true;
     }
-    if (candidate.p_task > 1) {
+    if (may_degrade && candidate.p_task > 1) {
       --candidate.p_task;
       continue;
     }
-    if (candidate.p_eng > 1) {
+    if (may_degrade && candidate.p_eng > 1) {
       --candidate.p_eng;
       candidate.p_task = original_p_task;
       continue;
@@ -693,22 +828,25 @@ bool HeteroSvdAccelerator::mask_and_replace(
 }
 
 RunResult HeteroSvdAccelerator::run(const std::vector<linalg::MatrixF>& batch) {
-  RunResult result = execute_batch(static_cast<int>(batch.size()), &batch);
-  // Bounded recovery: mask the tiles the detection points blamed,
-  // re-place the design on the healthy array, and re-run only the failed
-  // tasks. Healthy results are never touched, so they stay bit-identical
-  // to a fault-free run.
+  std::vector<int> fault_shards;
+  RunResult result =
+      execute_batch(static_cast<int>(batch.size()), &batch, fault_shards);
+  // Bounded recovery: mask the tiles the detection points blamed on the
+  // arrays that raised them, re-place those arrays on their healthy
+  // tiles, and re-run only the failed tasks. Healthy results are never
+  // touched, so they stay bit-identical to a fault-free run.
   int budget = config_.fault_retries;
   double epoch = result.batch_seconds;
   int attempt = 0;
   while (budget-- > 0) {
     std::vector<std::size_t> failed;
-    std::vector<versal::TileCoord> bad;
+    std::vector<std::vector<versal::TileCoord>> bad(fabrics_.size());
     for (std::size_t i = 0; i < result.tasks.size(); ++i) {
       if (result.tasks[i].status != hsvd::SvdStatus::kFailed) continue;
       failed.push_back(i);
-      if (result.tasks[i].fault_tile.has_value()) {
-        bad.push_back(*result.tasks[i].fault_tile);
+      if (result.tasks[i].fault_tile.has_value() && fault_shards[i] >= 0) {
+        bad[static_cast<std::size_t>(fault_shards[i])].push_back(
+            *result.tasks[i].fault_tile);
       }
     }
     if (failed.empty()) break;
@@ -717,27 +855,39 @@ RunResult HeteroSvdAccelerator::run(const std::vector<linalg::MatrixF>& batch) {
           cat(cancel_->cancelled() ? "cancelled" : "deadline expired",
               " before recovery round ", attempt + 1));
     }
-    std::sort(bad.begin(), bad.end());
-    bad.erase(std::unique(bad.begin(), bad.end()), bad.end());
-    if (bad.empty()) break;  // nothing to mask: the fault is not tile-bound
-    if (!mask_and_replace(bad)) break;  // healthy array cannot host any shape
+    std::size_t masked = 0;
+    bool replaced = true;
+    for (std::size_t s = 0; s < bad.size(); ++s) {
+      if (bad[s].empty()) continue;
+      std::sort(bad[s].begin(), bad[s].end());
+      bad[s].erase(std::unique(bad[s].begin(), bad[s].end()), bad[s].end());
+      masked += bad[s].size();
+      replaced = mask_and_replace(s, bad[s]) && replaced;
+    }
+    // Nothing to mask (the fault is not tile-bound), or an array cannot
+    // host the design any more.
+    if (masked == 0 || !replaced) break;
     ++attempt;
     ++result.recovery_runs;
     if (obs_ != nullptr) {
       obs_->metrics().add("sim.fault.recovery_rounds");
-      obs_->metrics().add("sim.fault.masked_tiles", bad.size());
+      obs_->metrics().add("sim.fault.masked_tiles", masked);
       if (obs::Tracer* tr = obs_->tracer()) {
-        for (const auto& tile : bad) {
-          tr->instant(obs::Domain::kSim, "faults",
-                      cat("recover:mask ", versal::to_string(tile)), "fault",
-                      epoch);
+        for (const auto& tiles : bad) {
+          for (const auto& tile : tiles) {
+            tr->instant(obs::Domain::kSim, "faults",
+                        cat("recover:mask ", versal::to_string(tile)),
+                        "fault", epoch);
+          }
         }
       }
     }
     std::vector<linalg::MatrixF> sub;
     sub.reserve(failed.size());
     for (std::size_t i : failed) sub.push_back(batch[i]);
-    RunResult retry = execute_batch(static_cast<int>(sub.size()), &sub);
+    std::vector<int> retry_fault_shards;
+    RunResult retry =
+        execute_batch(static_cast<int>(sub.size()), &sub, retry_fault_shards);
     for (std::size_t j = 0; j < failed.size(); ++j) {
       TaskResult task = std::move(retry.tasks[j]);
       // Recovery happens after the initial batch on the repaired
@@ -746,6 +896,7 @@ RunResult HeteroSvdAccelerator::run(const std::vector<linalg::MatrixF>& batch) {
       task.end_seconds += epoch;
       task.recovery_attempts = attempt;
       result.tasks[failed[j]] = std::move(task);
+      fault_shards[failed[j]] = retry_fault_shards[j];
     }
     epoch += retry.batch_seconds;
     result.stats += retry.stats;
@@ -757,7 +908,8 @@ RunResult HeteroSvdAccelerator::run(const std::vector<linalg::MatrixF>& batch) {
 RunResult HeteroSvdAccelerator::estimate(int batch_size) {
   HSVD_REQUIRE(config_.iterations >= 1,
                "timing-only estimation needs a fixed iteration count");
-  return execute_batch(batch_size, nullptr);
+  std::vector<int> fault_shards;
+  return execute_batch(batch_size, nullptr, fault_shards);
 }
 
 }  // namespace hsvd::accel

@@ -1,47 +1,11 @@
 #include "accel/pl_modules.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/format.hpp"
 
 namespace hsvd::accel {
-
-DataArrangement::DataArrangement(DdrTransfer ddr_transfer, int blocks,
-                                 double block_bytes)
-    : ddr_(std::move(ddr_transfer)), block_bytes_(block_bytes),
-      ready_(static_cast<std::size_t>(blocks), 0.0) {
-  HSVD_REQUIRE(blocks >= 1, "need at least one block");
-  HSVD_REQUIRE(block_bytes > 0, "block size must be positive");
-}
-
-DataArrangement::DataArrangement(versal::Channel& ddr, int blocks,
-                                 double block_bytes)
-    : DataArrangement(
-          [&ddr](double ready, double bytes) { return ddr.transfer(ready, bytes); },
-          blocks, block_bytes) {}
-
-void DataArrangement::stage_from_ddr(double ready) {
-  for (double& t : ready_) t = ddr_(ready, block_bytes_);
-}
-
-double DataArrangement::block_ready(int block) const {
-  HSVD_REQUIRE(block >= 0 && block < static_cast<int>(ready_.size()),
-               "block index out of range");
-  return ready_[static_cast<std::size_t>(block)];
-}
-
-void DataArrangement::set_block_ready(int block, double when) {
-  HSVD_REQUIRE(block >= 0 && block < static_cast<int>(ready_.size()),
-               "block index out of range");
-  ready_[static_cast<std::size_t>(block)] = when;
-}
-
-double DataArrangement::all_blocks_ready() const {
-  double worst = 0.0;
-  for (double t : ready_) worst = std::max(worst, t);
-  return worst;
-}
 
 Sender::Sender(versal::Channel& tx0, versal::Channel& tx1,
                versal::ForwardingTable forwarding, versal::AieArraySim& array)

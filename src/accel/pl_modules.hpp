@@ -1,10 +1,10 @@
 // PL-side modules of the HeteroSVD system (paper Fig. 2).
 //
-// The PL fabric hosts four cooperating state machines per task slot:
-//   DataArrangement -- stages blocks from DDR into URAM ping-pong
-//                      buffers and serves them in round-robin block-pair
-//                      order; tracks when each block's latest version is
-//                      available again after Rx.
+// The PL fabric hosts four cooperating state machines per task slot.
+// The data arrangement module stages blocks from DDR into URAM ping-pong
+// buffers and serves them in block-pair order; the accelerator's walk
+// models it directly as the NoC staging transfers plus one ready time per
+// block (accelerator.cpp, execute_task). The other three are:
 //   Sender          -- packs columns into header-routed packets and
 //                      pushes them through the two orth Tx PLIOs; the
 //                      dynamic-forwarding table maps a packet's dest_id
@@ -14,13 +14,12 @@
 //   SystemModule    -- accumulates the convergence rate (eq. (6)) and
 //                      decides when to leave the orthogonalization stage.
 //
-// The first three are timing models: they own their Channel timelines and
-// move byte counts, never data. The SystemModule watches the host sweep
+// Sender and Receiver are timing models: they own their Channel timelines
+// and move byte counts, never data. The SystemModule watches the host sweep
 // loop that computes the factors (accelerator.hpp, solve_task) and makes
 // its stop and watchdog decisions.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "jacobi/convergence.hpp"
@@ -29,30 +28,6 @@
 #include "versal/timeline.hpp"
 
 namespace hsvd::accel {
-
-class DataArrangement {
- public:
-  // `ddr_transfer(ready, bytes) -> done` performs one DDR read through
-  // whatever port the caller wired (NoC DDRMC port in the accelerator,
-  // a plain Channel in unit tests). `blocks` is the block count p.
-  using DdrTransfer = std::function<double(double, double)>;
-  DataArrangement(DdrTransfer ddr_transfer, int blocks, double block_bytes);
-  DataArrangement(versal::Channel& ddr, int blocks, double block_bytes);
-
-  // Stages all p blocks starting no earlier than `ready` (eq. (12)).
-  void stage_from_ddr(double ready);
-
-  double block_ready(int block) const;
-  void set_block_ready(int block, double when);
-
-  // Latest time at which every block is back in the URAM buffers.
-  double all_blocks_ready() const;
-
- private:
-  DdrTransfer ddr_;
-  double block_bytes_;
-  std::vector<double> ready_;
-};
 
 class Sender {
  public:

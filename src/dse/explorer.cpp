@@ -280,13 +280,7 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
           multi.latency.t_sys = sb.t_sys;
           multi.latency_seconds = sb.t_task;
           multi.throughput_tasks_per_s = sb.throughput_tasks_per_s(request.batch);
-          multi.resources.aie_orth *= s;
-          multi.resources.aie_norm *= s;
-          multi.resources.aie_mem *= s;
-          multi.resources.uram *= s;
-          multi.resources.bram *= s;
-          multi.resources.lut *= static_cast<std::uint64_t>(s);
-          multi.resources.plio = point.resources.plio * s + 2 * s;
+          multi.resources = shard::replicate_resources(point.resources, s);
           multi.power_watts = power_.system_watts(
               multi.resources, placed->config.pl_frequency_hz);
           slices[slice].push_back(multi);

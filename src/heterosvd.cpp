@@ -152,9 +152,7 @@ Svd run_classic_single(const linalg::MatrixF& a, const SvdOptions& options,
   if (retry != nullptr) backoff.emplace(*retry, 0);
   std::string last_fault;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    // shards == 1 delegates to the inner single-array engine outright,
-    // so the default path stays bit-identical (timings included).
-    accel::ShardedAccelerator acc(cfg, options.shards);
+    accel::HeteroSvdAccelerator acc(cfg, options.shards);
     if (options.fault_injector != nullptr) {
       acc.attach_faults(options.fault_injector);
     }
@@ -312,7 +310,7 @@ BatchSvd svd_batch(const std::vector<linalg::MatrixF>& batch,
   if (deadline_expired(options)) {
     throw DeadlineExceeded("deadline expired before the batch began");
   }
-  accel::ShardedAccelerator acc(cfg, options.shards);
+  accel::HeteroSvdAccelerator acc(cfg, options.shards);
   if (options.fault_injector != nullptr) {
     acc.attach_faults(options.fault_injector);
   }
@@ -369,7 +367,7 @@ BatchSvd svd_batch(const std::vector<linalg::MatrixF>& batch,
       std::vector<linalg::MatrixF> sub;
       sub.reserve(again.size());
       for (std::size_t i : again) sub.push_back(batch[i]);
-      accel::ShardedAccelerator retry_acc(cfg, options.shards);
+      accel::HeteroSvdAccelerator retry_acc(cfg, options.shards);
       if (options.fault_injector != nullptr) {
         retry_acc.attach_faults(options.fault_injector);
       }

@@ -21,7 +21,6 @@
 
 #include "accel/accelerator.hpp"
 #include "accel/config.hpp"
-#include "accel/sharded.hpp"
 #include "backend/slo.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"

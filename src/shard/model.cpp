@@ -65,4 +65,19 @@ ShardedBreakdown evaluate_sharded(const accel::HeteroSvdConfig& config,
   return b;
 }
 
+perf::ResourceUsage replicate_resources(const perf::ResourceUsage& single,
+                                        int shards) {
+  HSVD_REQUIRE(shards >= 1, "need at least one shard");
+  if (shards == 1) return single;
+  perf::ResourceUsage all = single;
+  all.aie_orth *= shards;
+  all.aie_norm *= shards;
+  all.aie_mem *= shards;
+  all.uram *= shards;
+  all.bram *= shards;
+  all.lut *= static_cast<std::uint64_t>(shards);
+  all.plio = single.plio * shards + 2 * shards;
+  return all;
+}
+
 }  // namespace hsvd::shard

@@ -13,6 +13,7 @@
 
 #include "accel/config.hpp"
 #include "perfmodel/perf_model.hpp"
+#include "perfmodel/resource_model.hpp"
 
 namespace hsvd::shard {
 
@@ -36,5 +37,11 @@ struct ShardedBreakdown {
 ShardedBreakdown evaluate_sharded(const accel::HeteroSvdConfig& config,
                                   const perf::LatencyBreakdown& single,
                                   int shards, int batch);
+
+// The resource footprint of `shards` identical arrays running one
+// decomposition: S replicas of `single` plus one egress and one ingress
+// inter-shard link PLIO per array. S = 1 returns `single` unchanged.
+perf::ResourceUsage replicate_resources(const perf::ResourceUsage& single,
+                                        int shards);
 
 }  // namespace hsvd::shard

@@ -145,30 +145,35 @@ TEST(Accelerator, RunTimelineEqualsEstimate) {
   // the configuration and the batch size: run() and estimate() must agree
   // on every timestamp, counter and per-tile tally, both when each task
   // slot owns a DDRMC port and when slots share the NoC's ports
-  // (P_task > ports serializes staging in batch order).
+  // (P_task > ports serializes staging in batch order), and on S = 2 and
+  // 4 arrays, where blocks also cross the inter-shard link.
   struct Shape {
     std::size_t rows;
     std::size_t cols;
     int p_eng;
     int p_task;
     int batch;
+    int shards;
   };
-  for (const Shape shape : {Shape{32, 16, 4, 2, 3}, Shape{16, 8, 2, 6, 9}}) {
+  for (const Shape shape :
+       {Shape{32, 16, 4, 2, 3, 1}, Shape{16, 8, 2, 6, 9, 1},
+        Shape{32, 16, 2, 1, 3, 2}, Shape{32, 16, 2, 1, 3, 4}}) {
     HeteroSvdConfig cfg;
     cfg.rows = shape.rows;
     cfg.cols = shape.cols;
     cfg.p_eng = shape.p_eng;
     cfg.p_task = shape.p_task;
     cfg.iterations = 3;
-    SCOPED_TRACE(cat("P_task=", cfg.p_task, " batch=", shape.batch));
+    SCOPED_TRACE(cat("P_task=", cfg.p_task, " batch=", shape.batch,
+                     " S=", shape.shards));
     std::vector<MatrixF> batch;
     for (int t = 0; t < shape.batch; ++t) {
       batch.push_back(random_matrix(shape.rows, shape.cols, 7000 + t));
     }
-    const RunResult run = HeteroSvdAccelerator(cfg).run(batch);
-    HeteroSvdAccelerator timed(cfg);
-    const RunResult est = timed.estimate(shape.batch);
-    EXPECT_EQ(cfg.p_task > timed.noc().ports(), shape.p_task == 6);
+    const RunResult run = HeteroSvdAccelerator(cfg, shape.shards).run(batch);
+    const RunResult est =
+        HeteroSvdAccelerator(cfg, shape.shards).estimate(shape.batch);
+    EXPECT_EQ(cfg.p_task > cfg.device.ddr_ports, shape.p_task == 6);
 
     EXPECT_EQ(run.batch_seconds, est.batch_seconds);
     ASSERT_EQ(run.tasks.size(), est.tasks.size());
@@ -291,8 +296,9 @@ class SteppingClock final : public common::Clock {
 TEST(Accelerator, SweepBarrierCancellationLeavesFabricClean) {
   // Poll 1 is execute_batch's task boundary and poll 2 the sweep barrier
   // before the second sweep, so the task aborts mid-run with one sweep
-  // of fabric ops done. The purge must leave nothing behind: the next
-  // run on the same accelerator is bit-identical to a fresh one's.
+  // of fabric ops done. The purge must leave nothing behind on any
+  // array: the next run on the same accelerator is bit-identical to a
+  // fresh one's, on one array and on two.
   HeteroSvdConfig cfg;
   cfg.rows = 32;
   cfg.cols = 16;
@@ -301,54 +307,65 @@ TEST(Accelerator, SweepBarrierCancellationLeavesFabricClean) {
   cfg.iterations = 3;
   const MatrixF a = random_matrix(32, 16, 9);
 
-  HeteroSvdAccelerator acc(cfg);
-  SteppingClock clock;
-  common::CancelToken token(clock, 2.0);
-  acc.attach_cancellation(&token);
-  try {
-    acc.run({a});
-    FAIL() << "run() finished past an expired deadline";
-  } catch (const hsvd::DeadlineExceeded& e) {
-    EXPECT_NE(std::string(e.what()).find("sweep barrier 1"),
-              std::string::npos)
-        << e.what();
-  }
-  acc.attach_cancellation(nullptr);
-  // Simulator counters are cumulative: take the cancelled sweep's share
-  // out before comparing.
-  const versal::ArrayStats cancelled = acc.array_stats();
-  EXPECT_GT(cancelled.kernel_invocations, 0u);
-  const RunResult after = acc.run({a});
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(cat("S=", shards));
+    HeteroSvdAccelerator acc(cfg, shards);
+    SteppingClock clock;
+    common::CancelToken token(clock, 2.0);
+    acc.attach_cancellation(&token);
+    try {
+      acc.run({a});
+      ADD_FAILURE() << "run() finished past an expired deadline";
+      continue;
+    } catch (const hsvd::DeadlineExceeded& e) {
+      EXPECT_NE(std::string(e.what()).find("sweep barrier 1"),
+                std::string::npos)
+          << e.what();
+    }
+    acc.attach_cancellation(nullptr);
+    // Simulator counters are cumulative: take the cancelled sweep's share
+    // out before comparing.
+    const versal::ArrayStats cancelled = acc.array_stats();
+    EXPECT_GT(cancelled.kernel_invocations, 0u);
+    const RunResult after = acc.run({a});
 
-  HeteroSvdAccelerator fresh(cfg);
-  const RunResult clean = fresh.run({a});
-  ASSERT_EQ(after.tasks.size(), 1u);
-  const TaskResult& x = after.tasks[0];
-  const TaskResult& y = clean.tasks[0];
-  ASSERT_EQ(x.status, hsvd::SvdStatus::kOk);
-  ASSERT_EQ(x.u.data().size(), y.u.data().size());
-  EXPECT_EQ(std::memcmp(x.u.data().data(), y.u.data().data(),
-                        x.u.data().size_bytes()),
-            0);
-  EXPECT_EQ(x.sigma, y.sigma);
-  EXPECT_EQ(x.iterations, y.iterations);
-  EXPECT_EQ(x.convergence_rate, y.convergence_rate);
-  EXPECT_EQ(x.start_seconds, y.start_seconds);
-  EXPECT_EQ(x.end_seconds, y.end_seconds);
-  EXPECT_EQ(after.batch_seconds, clean.batch_seconds);
-  EXPECT_EQ(after.core_utilization, clean.core_utilization);
-  EXPECT_EQ(after.stats.kernel_invocations - cancelled.kernel_invocations,
-            clean.stats.kernel_invocations);
-  EXPECT_EQ(after.stats.neighbour_transfers - cancelled.neighbour_transfers,
-            clean.stats.neighbour_transfers);
-  EXPECT_EQ(after.stats.dma_transfers - cancelled.dma_transfers,
-            clean.stats.dma_transfers);
-  EXPECT_EQ(after.stats.dma_bytes - cancelled.dma_bytes,
-            clean.stats.dma_bytes);
-  EXPECT_EQ(after.stats.stream_packets - cancelled.stream_packets,
-            clean.stats.stream_packets);
-  EXPECT_EQ(after.stats.stream_bytes - cancelled.stream_bytes,
-            clean.stats.stream_bytes);
+    HeteroSvdAccelerator fresh(cfg, shards);
+    const RunResult clean = fresh.run({a});
+    ASSERT_EQ(after.tasks.size(), 1u);
+    const TaskResult& x = after.tasks[0];
+    const TaskResult& y = clean.tasks[0];
+    ASSERT_EQ(x.status, hsvd::SvdStatus::kOk);
+    ASSERT_EQ(x.u.data().size(), y.u.data().size());
+    EXPECT_EQ(std::memcmp(x.u.data().data(), y.u.data().data(),
+                          x.u.data().size_bytes()),
+              0);
+    EXPECT_EQ(x.sigma, y.sigma);
+    EXPECT_EQ(x.iterations, y.iterations);
+    EXPECT_EQ(x.convergence_rate, y.convergence_rate);
+    EXPECT_EQ(x.start_seconds, y.start_seconds);
+    EXPECT_EQ(x.end_seconds, y.end_seconds);
+    EXPECT_EQ(after.batch_seconds, clean.batch_seconds);
+    EXPECT_EQ(after.core_utilization, clean.core_utilization);
+    EXPECT_EQ(after.stats.kernel_invocations - cancelled.kernel_invocations,
+              clean.stats.kernel_invocations);
+    EXPECT_EQ(after.stats.neighbour_transfers - cancelled.neighbour_transfers,
+              clean.stats.neighbour_transfers);
+    EXPECT_EQ(after.stats.dma_transfers - cancelled.dma_transfers,
+              clean.stats.dma_transfers);
+    EXPECT_EQ(after.stats.dma_bytes - cancelled.dma_bytes,
+              clean.stats.dma_bytes);
+    EXPECT_EQ(after.stats.stream_packets - cancelled.stream_packets,
+              clean.stats.stream_packets);
+    EXPECT_EQ(after.stats.stream_bytes - cancelled.stream_bytes,
+              clean.stats.stream_bytes);
+    // The utilization report stacks every array's tiles side by side.
+    ASSERT_EQ(after.utilization.tiles.size(), clean.utilization.tiles.size());
+    for (std::size_t i = 0; i < clean.utilization.tiles.size(); ++i) {
+      EXPECT_EQ(after.utilization.tiles[i].busy_cycles,
+                clean.utilization.tiles[i].busy_cycles)
+          << versal::to_string(clean.utilization.tiles[i].tile);
+    }
+  }
 }
 
 }  // namespace

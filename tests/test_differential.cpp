@@ -302,8 +302,8 @@ TEST(Differential, ShardedMatchesReferenceAndSerialBits) {
   }
 }
 
-// The S = 1 sharded engine is the existing single-array path,
-// bit-for-bit: factors AND the simulated timeline.
+// One array built through the sharded name is the default single-array
+// path, bit-for-bit: factors AND the simulated timeline.
 TEST(Differential, ShardedS1BitIdenticalToSingleArrayPath) {
   for (const auto& c : cases()) {
     SCOPED_TRACE(c.name);
@@ -703,9 +703,7 @@ TEST(Differential, FabricFactorsAreBlockHestenesBits) {
                     precision_mode ? " precision" : " fixed");
             SCOPED_TRACE(what);
             const accel::RunResult run =
-                layout.shards == 1
-                    ? accel::HeteroSvdAccelerator(cfg).run(batch)
-                    : accel::ShardedAccelerator(cfg, layout.shards).run(batch);
+                accel::HeteroSvdAccelerator(cfg, layout.shards).run(batch);
 
             jacobi::BlockOptions opts;
             opts.block_cols = p_eng;

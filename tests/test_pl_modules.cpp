@@ -1,37 +1,11 @@
-// Tests for the PL-side modules of Fig. 2 (data arrangement, sender with
-// dynamic forwarding, receiver, system module).
+// Tests for the PL-side modules of Fig. 2 (sender with dynamic
+// forwarding, receiver, system module).
 #include <gtest/gtest.h>
 
 #include "accel/pl_modules.hpp"
 
 namespace hsvd::accel {
 namespace {
-
-TEST(DataArrangement, StagesBlocksSeriallyFromDdr) {
-  versal::Channel ddr("ddr", 1e9);  // 1 GB/s
-  DataArrangement arr(ddr, 3, 1e6); // 1 MB blocks -> 1 ms each
-  arr.stage_from_ddr(0.0);
-  EXPECT_NEAR(arr.block_ready(0), 1e-3, 1e-12);
-  EXPECT_NEAR(arr.block_ready(1), 2e-3, 1e-12);
-  EXPECT_NEAR(arr.block_ready(2), 3e-3, 1e-12);
-  EXPECT_NEAR(arr.all_blocks_ready(), 3e-3, 1e-12);
-}
-
-TEST(DataArrangement, TracksBlockReadiness) {
-  versal::Channel ddr("ddr", 1e9);
-  DataArrangement arr(ddr, 2, 100);
-  arr.set_block_ready(1, 5.0);
-  EXPECT_DOUBLE_EQ(arr.block_ready(1), 5.0);
-  EXPECT_DOUBLE_EQ(arr.all_blocks_ready(), 5.0);
-  EXPECT_THROW(arr.block_ready(2), std::invalid_argument);
-  EXPECT_THROW(arr.set_block_ready(-1, 0.0), std::invalid_argument);
-}
-
-TEST(DataArrangement, RejectsDegenerateShapes) {
-  versal::Channel ddr("ddr", 1e9);
-  EXPECT_THROW(DataArrangement(ddr, 0, 100), std::invalid_argument);
-  EXPECT_THROW(DataArrangement(ddr, 2, 0), std::invalid_argument);
-}
 
 class SenderTest : public ::testing::Test {
  protected:

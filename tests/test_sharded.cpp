@@ -178,9 +178,9 @@ TEST(InterShardLink, TransfersSerializeOnTheEdge) {
 
 // ---- Sharded execution: bit-identity ------------------------------------
 
-// S = 1 delegates to the inner engine: the whole RunResult -- factors,
-// timings, counters -- is bit-identical to the pre-existing
-// single-array path.
+// S = 1 is the degenerate ring: the whole RunResult -- factors,
+// timings, counters -- is bit-identical to the default single-array
+// construction.
 TEST(ShardedAccelerator, SingleShardIsBitIdenticalToSingleArray) {
   const auto cfg = sharded_config(48, 32, 4);
   const auto batch = gaussian_batch(48, 32, 3, 77);
@@ -330,8 +330,7 @@ TEST(ShardedAccelerator, HungTileOnShardZeroIsMaskedAndRecovered) {
   const auto batch = gaussian_batch(48, 32, 3, 900);
 
   accel::ShardedAccelerator sharded(cfg, 2);
-  const versal::TileCoord bad =
-      sharded.array(0).placement().tasks[0].orth.front()[1];
+  const versal::TileCoord bad = sharded.placement(0).tasks[0].orth.front()[1];
   versal::FaultPlan plan;
   plan.faults.push_back(
       {versal::FaultKind::kTileHang, bad, 0, 0, 0.0, 1.0});

@@ -60,7 +60,8 @@
 //                 scenario options.
 // --burst         submit everything at once instead of keeping a
 //                 sliding window of queue-capacity requests in flight
-//                 (maximizes load-shedding instead of minimizing it).
+//                 (maximizes load-shedding instead of minimizing it);
+//                 the workers start once the whole burst is queued.
 // --deadline-ms   per-request budget on the host monotonic clock
 //                 (0 = none); expiry is cancelled cooperatively.
 // --fault-retries in-run masked-tile recovery rounds (default 0 here,
@@ -474,6 +475,9 @@ int main(int argc, char** argv) {
   options.qos.coalesce_window_seconds = coalesce_window_ms / 1e3;
   options.qos.cache_enabled = cache_capacity > 0;
   options.qos.cache_capacity = cache_capacity > 0 ? cache_capacity : 64;
+  // A burst is queued whole before any worker starts, so the backlog the
+  // scheduler shares out does not depend on how fast this host submits.
+  options.start_paused = burst;
 
   // Injectors must outlive the server (requests reference them raw).
   std::vector<std::unique_ptr<versal::FaultInjector>> injectors;
@@ -571,6 +575,7 @@ int main(int argc, char** argv) {
       }
       window.emplace_back(i, server.submit(std::move(request)));
     }
+    server.resume();
     while (!window.empty()) drain_one();
     server.shutdown();
 
