@@ -2,12 +2,17 @@
 // derive_v(), wide-matrix handling, option plumbing.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/clock.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "heterosvd.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/metrics.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/reference_svd.hpp"
+#include "versal/faults.hpp"
 
 namespace hsvd {
 namespace {
@@ -16,6 +21,94 @@ linalg::MatrixF random_matrix(std::size_t rows, std::size_t cols,
                               std::uint64_t seed) {
   Rng rng(seed);
   return linalg::random_gaussian(rows, cols, rng).cast<float>();
+}
+
+bool same_bits(const linalg::MatrixF& a, const linalg::MatrixF& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  const auto da = a.data();
+  const auto db = b.data();
+  return da.empty() ||
+         std::memcmp(da.data(), db.data(), da.size_bytes()) == 0;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+void expect_same_result(const Svd& solo, const Svd& batched) {
+  EXPECT_TRUE(same_bits(solo.u, batched.u));
+  EXPECT_TRUE(same_bits(solo.v, batched.v));
+  EXPECT_TRUE(same_bits(solo.sigma, batched.sigma));
+  EXPECT_EQ(solo.iterations, batched.iterations);
+  EXPECT_EQ(solo.accelerator_seconds, batched.accelerator_seconds);
+  EXPECT_EQ(solo.status, batched.status);
+  EXPECT_EQ(solo.message, batched.message);
+  EXPECT_EQ(solo.backend, batched.backend);
+  EXPECT_EQ(solo.modeled_seconds, batched.modeled_seconds);
+  EXPECT_EQ(solo.retries, batched.retries);
+}
+
+// svd(a) is svd_batch({a}) with one matrix: on the classic path and on
+// every pinned backend, field for field.
+TEST(Facade, SingleMatrixIsABatchOfOne) {
+  for (const char* backend :
+       {"", "aie", "aie-sharded", "cpu", "fpga-bcv", "gpu-wcycle"}) {
+    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{32, 16},
+                                     {40, 30}}) {
+      for (const bool want_v : {true, false}) {
+        SCOPED_TRACE(cat("backend '", backend, "' ", rows, "x", cols,
+                         want_v ? " want_v" : ""));
+        const auto a = random_matrix(rows, cols, 660 + rows + cols);
+        SvdOptions opts;
+        opts.backend = backend;
+        opts.want_v = want_v;
+        opts.threads = 2;
+        const Svd solo = svd(a, opts);
+        const BatchSvd batched = svd_batch({a}, opts);
+        ASSERT_EQ(batched.results.size(), 1u);
+        expect_same_result(solo, batched.results[0]);
+      }
+    }
+  }
+
+  // A one-shot DMA drop fails the first attempt (no in-run recovery);
+  // the facade retry re-runs it on a fresh accelerator.
+  accel::HeteroSvdConfig cfg;
+  cfg.p_eng = 4;  // two bands at 24x16: inter-band DMA exists
+  cfg.p_task = 1;
+  cfg.iterations = 3;
+  cfg.rows = 24;
+  cfg.cols = 16;
+  versal::TileCoord src{-1, -1};
+  const accel::HeteroSvdAccelerator probe(cfg);
+  for (const auto& tr : probe.dataflow(0).transitions) {
+    for (const auto& mv : tr.moves) {
+      if (mv.is_dma && src.row < 0) src = mv.src;
+    }
+  }
+  ASSERT_GE(src.row, 0);
+  versal::FaultPlan plan;
+  plan.faults.push_back({versal::FaultKind::kDmaDrop, src, 0, 0, 0.0, 1.0});
+  const auto a = random_matrix(24, 16, 670);
+  common::FakeClock clock;
+  SvdOptions opts;
+  opts.config = cfg;
+  opts.fault_retries = 0;
+  opts.retry = common::RetryPolicy{.max_attempts = 2};
+  opts.clock = &clock;
+  versal::FaultInjector solo_faults(plan);
+  opts.fault_injector = &solo_faults;
+  const Svd solo = svd(a, opts);
+  versal::FaultInjector batch_faults(plan);
+  opts.fault_injector = &batch_faults;
+  const BatchSvd batched = svd_batch({a}, opts);
+  EXPECT_EQ(solo.retries, 1);
+  EXPECT_EQ(solo.status, SvdStatus::kOk);
+  EXPECT_EQ(solo_faults.event_count(), 1u);
+  ASSERT_EQ(batched.results.size(), 1u);
+  expect_same_result(solo, batched.results[0]);
 }
 
 TEST(Facade, SvdMatchesReference) {
