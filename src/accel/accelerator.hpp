@@ -194,6 +194,9 @@ class HeteroSvdAccelerator {
     std::vector<DataflowPlan> dataflows;                 // per task slot
     std::vector<std::unique_ptr<SlotChannels>> channels;  // per task slot
     versal::NocModel noc;
+    // Appended to the trace tracks this array draws: "" for one array,
+    // "@a<s>" for array s of several.
+    std::string track_tag;
   };
   // Completion times of one executed block pair: when each of its two
   // blocks is back in the PL URAM buffers.

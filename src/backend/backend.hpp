@@ -11,6 +11,7 @@
 //                            published comparators, a flops model for
 //                            the host CPU)
 //   execute(matrix, opts) -- actually produce factors.
+//   execute_batch(batch, opts) -- produce factors for a same-shape batch.
 //
 // Honesty rules (DESIGN.md section 14): every result says where its
 // reported time came from. The AIE backends report *simulated* seconds
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "backend/slo.hpp"
 #include "heterosvd.hpp"
@@ -85,6 +87,18 @@ class Backend {
   // labeling described in the header comment.
   virtual Svd execute(const linalg::MatrixF& a,
                       const SvdOptions& options) const = 0;
+
+  // Decomposes every matrix of `batch` (one shape, rows >= cols) -- the
+  // router's one execution path, a single request being a batch of one.
+  // The default runs execute() per matrix, fanned out over the host pool
+  // with single-threaded inner execution (a batch of one runs inline
+  // with the caller's options), applies injected silent errors per task
+  // slot, and labels the batch time honestly: the comparator's fitted
+  // sustained rate on a modeled_time backend, the measured host wall
+  // time otherwise. The AIE backends override it with the native batch
+  // engine (hsvd::svd_batch with the routing fields stripped).
+  virtual BatchSvd execute_batch(const std::vector<linalg::MatrixF>& batch,
+                                 const SvdOptions& options) const;
 };
 
 }  // namespace hsvd::backend

@@ -11,8 +11,10 @@
 #include "common/assert.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
+#include "common/thread_pool.hpp"
 #include "jacobi/hestenes.hpp"
 #include "linalg/ops.hpp"
+#include "verify/escalate.hpp"
 
 namespace hsvd::backend {
 
@@ -206,7 +208,66 @@ SvdOptions strip_routing(const SvdOptions& options) {
   return inner;
 }
 
+// Labels a native-engine batch with the AIE backend that ran it.
+BatchSvd labelled(BatchSvd out, const char* backend) {
+  out.backend = backend;
+  for (auto& r : out.results) r.backend = backend;
+  return out;
+}
+
 }  // namespace
+
+// ---- default batch: per-matrix execute() on the host pool -------------
+
+BatchSvd Backend::execute_batch(const std::vector<linalg::MatrixF>& batch,
+                                const SvdOptions& options) const {
+  BatchSvd out;
+  out.backend = name();
+  out.results.resize(batch.size());
+  // Silent errors are applied per task slot (slot-keyed trigger counters
+  // keep the parallel fan-out deterministic). The AIE backends never
+  // come here: their facade path applies them inside the fault domain.
+  const auto run_one = [&](const SvdOptions& opts, std::size_t i) {
+    out.results[i] = execute(batch[i], opts);
+    verify::apply_silent_faults(opts, static_cast<int>(i), out.results[i]);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  if (batch.size() == 1) {
+    run_one(options, 0);
+  } else {
+    // Tasks are independent: fan them out over the pool with
+    // single-threaded inner execution, like the facade's post-pass.
+    SvdOptions inner = options;
+    inner.threads = 1;
+    common::ThreadPool::shared().parallel_for(
+        batch.size(), common::ThreadPool::resolve_threads(options.threads),
+        [&](std::size_t i) { run_one(inner, i); }, "route-batch");
+  }
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  if (capabilities().modeled_time) {
+    // Modeled backends report the comparator's fitted sustained rate for
+    // the batch, never the host wall time (honesty rule: one source per
+    // number). Per-task modeled_seconds is already set by execute().
+    Slo slo;
+    slo.kind = SloKind::kThroughput;
+    slo.batch = static_cast<int>(batch.size());
+    const Estimate est = estimate(batch.front().rows(), batch.front().cols(),
+                                  slo, options);
+    out.throughput_tasks_per_s = est.throughput_tasks_per_s;
+    out.batch_seconds = est.throughput_tasks_per_s > 0.0
+                            ? batch.size() / est.throughput_tasks_per_s
+                            : 0.0;
+  } else {
+    out.batch_seconds = wall;
+    out.throughput_tasks_per_s = wall > 0.0 ? batch.size() / wall : 0.0;
+  }
+  for (const auto& r : out.results) {
+    if (r.status == SvdStatus::kFailed) ++out.failed_tasks;
+  }
+  return out;
+}
 
 // ---- aie --------------------------------------------------------------
 
@@ -223,6 +284,11 @@ Svd AieBackend::execute(const linalg::MatrixF& a,
   Svd out = hsvd::svd(a, strip_routing(options));
   out.backend = name();
   return out;
+}
+
+BatchSvd AieBackend::execute_batch(const std::vector<linalg::MatrixF>& batch,
+                                   const SvdOptions& options) const {
+  return labelled(hsvd::svd_batch(batch, strip_routing(options)), name());
 }
 
 // ---- aie-sharded ------------------------------------------------------
@@ -250,6 +316,14 @@ Svd ShardedAieBackend::execute(const linalg::MatrixF& a,
   Svd out = hsvd::svd(a, inner);
   out.backend = name();
   return out;
+}
+
+BatchSvd ShardedAieBackend::execute_batch(
+    const std::vector<linalg::MatrixF>& batch,
+    const SvdOptions& options) const {
+  SvdOptions inner = strip_routing(options);
+  inner.shards = shard_count(options);
+  return labelled(hsvd::svd_batch(batch, inner), name());
 }
 
 // ---- cpu --------------------------------------------------------------

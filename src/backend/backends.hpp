@@ -48,6 +48,8 @@ class AieBackend : public Backend {
                     const SvdOptions& options) const override;
   Svd execute(const linalg::MatrixF& a,
               const SvdOptions& options) const override;
+  BatchSvd execute_batch(const std::vector<linalg::MatrixF>& batch,
+                         const SvdOptions& options) const override;
 
  private:
   dse::DesignSpaceExplorer explorer_;
@@ -68,6 +70,8 @@ class ShardedAieBackend : public Backend {
                     const SvdOptions& options) const override;
   Svd execute(const linalg::MatrixF& a,
               const SvdOptions& options) const override;
+  BatchSvd execute_batch(const std::vector<linalg::MatrixF>& batch,
+                         const SvdOptions& options) const override;
 
   // Arrays the backend spans: SvdOptions::shards when the caller asked
   // for more than one, else 2 (the smallest genuinely sharded engine).

@@ -133,10 +133,17 @@ class Router {
 };
 
 // Facade entry points (called from hsvd::svd / hsvd::svd_batch when
-// SvdOptions carries a backend pin or an SLO; `a` is already validated
-// and tall). Dispatches through Router::shared(), records route.*
-// metrics on options.observer, and returns the backend's result with
-// its provenance labels (Svd::backend, modeled_time, ...).
+// SvdOptions carries a backend pin or an SLO; the input is already
+// validated and tall). One path serves both: dispatch through
+// Router::shared() (route.* metrics on options.observer), execution by
+// the winner's Backend::execute_batch, and -- on the verified path --
+// health bookkeeping: a throw is breaker-neutral for DeadlineExceeded or
+// InputError and a failure otherwise, and every result is attested with
+// router-aware escalation hooks. Results carry their provenance labels
+// (Svd::backend, modeled_time, ...). execute_routed() runs `a` as a
+// batch of one; only it records route.estimate.rel_error and throws a
+// kFailed result as hsvd::FaultDetected (a health failure) before
+// attestation.
 Svd execute_routed(const linalg::MatrixF& a, const SvdOptions& options);
 BatchSvd execute_routed_batch(const std::vector<linalg::MatrixF>& batch,
                               const SvdOptions& options);

@@ -195,14 +195,28 @@ struct Svd {
 
 // Singular value decomposition of one tall-or-square matrix.
 //
+// A wide input is decomposed through its transpose, and a scenario
+// front-end may reduce the problem first (SvdOptions::scenario). The
+// dense core then runs as svd_batch() of one matrix -- the same
+// execution, retry and routing path, with the same results -- except
+// that a result still kFailed after recovery and retries is thrown as
+// hsvd::FaultDetected before attestation instead of being returned.
+// So svd() shares svd_batch()'s retry rules: each attempt's result takes
+// the injected silent errors (a one-shot corruption may land on a
+// kNotConverged attempt that is then retried), and a deadline that
+// expires before or during a retry round ends retrying with the previous
+// attempt's outcome: a failed attempt then throws FaultDetected with its
+// message, not DeadlineExceeded.
+//
 // Errors: throws hsvd::InputError (an std::invalid_argument) for invalid
 // input -- empty matrices, NaN/Inf entries, malformed options (negative
 // fault_retries or threads, non-positive precision, an invalid retry
 // policy) -- hsvd::FaultDetected (an std::runtime_error) when an
 // injected hardware fault is detected and the recovery (and retry)
 // budget is exhausted, and hsvd::DeadlineExceeded when an attached
-// cancel token expires mid-run. A matrix that merely fails to reach the
-// precision target is NOT an error: the result comes back with status ==
+// cancel token expires before the decomposition or during its first
+// attempt. A matrix that merely fails to reach the precision target is
+// NOT an error: the result comes back with status ==
 // SvdStatus::kNotConverged and converged == false.
 Svd svd(const linalg::MatrixF& a, const SvdOptions& options = {});
 
@@ -230,13 +244,16 @@ struct BatchSvd {
 //
 // Errors: throws hsvd::InputError for invalid input (empty batch, mixed
 // shapes, NaN/Inf entries, malformed options) and hsvd::DeadlineExceeded
-// when an attached cancel token expires mid-run. Detected hardware
-// faults never throw here -- each one fails only its own task
-// (results[i].status == SvdStatus::kFailed with the diagnostic in
-// message) and every healthy task completes bit-identical to a
-// fault-free run. With SvdOptions::retry set, still-failed (and
-// optionally non-converged) tasks are re-submitted on a fresh
-// accelerator with backoff between attempts.
+// when an attached cancel token expires before the batch or during its
+// first attempt. Detected hardware faults never throw here -- each one
+// fails only its own task (results[i].status == SvdStatus::kFailed with
+// the diagnostic in message) and every healthy task completes
+// bit-identical to a fault-free run. With SvdOptions::retry set,
+// still-failed (and optionally non-converged) tasks are re-submitted on
+// a fresh accelerator with backoff between attempts; a deadline that
+// expires before or during a retry round stops retrying and keeps the
+// previous attempt's statuses. With the verify policy on, every result
+// is attested (a kFailed one is answered by the escalation ladder).
 BatchSvd svd_batch(const std::vector<linalg::MatrixF>& batch,
                    const SvdOptions& options = {});
 

@@ -107,7 +107,7 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
     obs_->metrics().add("sim.dma.bytes", bytes);
     obs_->metrics().observe("sim.dma.cycles", duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
-      tr->span(obs::Domain::kSim, cat("dma", to_string(src)),
+      tr->span(obs::Domain::kSim, cat("dma", to_string(src), track_tag_),
                cat(to_string(id), " -> ", to_string(dst)), "dma",
                done - duration, duration);
     }
@@ -154,7 +154,7 @@ double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
     obs_->metrics().observe("sim.stream.cycles",
                             duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
-      tr->span(obs::Domain::kSim, cat("stream", to_string(dst)),
+      tr->span(obs::Domain::kSim, cat("stream", to_string(dst), track_tag_),
                cat("pkt c", packet.header.column, " t", packet.header.task),
                "stream", done - duration, duration);
     }
@@ -184,8 +184,8 @@ double AieArraySim::run_kernel(const TileCoord& tile, double ready,
     obs_->metrics().observe("sim.kernel.cycles",
                             duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
-      tr->span(obs::Domain::kSim, cat("core", to_string(tile)), "kernel",
-               "kernel", done - duration, duration);
+      tr->span(obs::Domain::kSim, cat("core", to_string(tile), track_tag_),
+               "kernel", "kernel", done - duration, duration);
     }
   }
   return done;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -119,6 +120,9 @@ class AieArraySim {
   // and stays parallel-safe.
   void attach_observer(obs::ObsContext* observer);
   obs::ObsContext* observer() const { return obs_; }
+  // Appended to every per-tile track name this array draws ("core(r,c)"
+  // + tag), so several arrays can share one tracer. Empty by default.
+  void set_track_tag(std::string tag) { track_tag_ = std::move(tag); }
 
  private:
   ArrayGeometry geometry_;
@@ -160,6 +164,7 @@ class AieArraySim {
   mutable ArrayStats stats_snapshot_;  // materialized by stats()
   FaultInjector* faults_ = nullptr;
   obs::ObsContext* obs_ = nullptr;
+  std::string track_tag_;
 };
 
 }  // namespace hsvd::versal

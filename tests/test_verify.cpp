@@ -589,6 +589,40 @@ TEST(HealthRouter, UnknownAndClassicNamesAreIgnored) {
   EXPECT_EQ(router.route(64, 64, Slo{}, options, true).backend, "aie");
 }
 
+// A verified routed batch that ends in InputError is breaker-neutral for
+// the backend that won the route: its half-open probe slot is released,
+// exactly as for the same input through svd().
+TEST(Health, RoutedBatchInputErrorReleasesTheProbeSlot) {
+  Router& router = Router::shared();
+  FakeClock clock;
+  // The shared router outlives this test: drop its breakers (they hold
+  // the FakeClock) and restore the default policy however the test ends.
+  struct Restore {
+    Router& router;
+    ~Restore() {
+      router.reset_health();
+      router.set_health_policy(serve::BreakerPolicy{});
+    }
+  } restore{router};
+  router.reset_health();
+  router.set_health_policy(tight_policy(1, /*open_seconds=*/5.0));
+  SvdOptions options = verify_on();
+  options.clock = &clock;
+  options.slo = Slo{};  // latency objective
+  ASSERT_EQ(router.route(16, 16, Slo{}, options).backend, "cpu");
+
+  router.record_health("cpu", false, options);
+  ASSERT_EQ(router.health_state("cpu"), serve::BreakerState::kOpen);
+  clock.advance(6.0);
+
+  std::vector<linalg::MatrixF> batch = {gaussian(16, 16, 2100),
+                                        gaussian(16, 16, 2101)};
+  for (float& x : batch[1].data()) x *= 1e20f;
+  EXPECT_THROW(svd_batch(batch, options), InputError);
+  EXPECT_EQ(router.health_state("cpu"), serve::BreakerState::kHalfOpen);
+  EXPECT_EQ(router.route(16, 16, Slo{}, options, true).backend, "cpu");
+}
+
 TEST(HealthRouter, ResetDropsQuarantineState) {
   Router router(make_backends(dse::DesignSpaceExplorer{}));
   router.set_health_policy(tight_policy(1));
