@@ -171,4 +171,16 @@ Svd attest_result(const linalg::MatrixF& a, const SvdOptions& options,
   }
 }
 
+void attest_batch(
+    const std::vector<linalg::MatrixF>& batch, const SvdOptions& options,
+    BatchSvd& out,
+    const std::function<EscalationHooks(std::size_t)>& hooks_for) {
+  out.failed_tasks = 0;
+  for (std::size_t i = 0; i < out.results.size(); ++i) {
+    out.results[i] = attest_result(batch[i], options,
+                                   std::move(out.results[i]), hooks_for(i));
+    if (out.results[i].status == SvdStatus::kFailed) ++out.failed_tasks;
+  }
+}
+
 }  // namespace hsvd::verify

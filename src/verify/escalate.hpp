@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "heterosvd.hpp"
 #include "linalg/matrix.hpp"
@@ -51,6 +52,15 @@ struct EscalationHooks {
 // is the reference rung's answer with report.verified=false.
 Svd attest_result(const linalg::MatrixF& a, const SvdOptions& options,
                   Svd result, const EscalationHooks& hooks);
+
+// Attests every result of `out` (the decompositions of `batch`) with
+// task i's rungs from hooks_for(i), and recounts out.failed_tasks. Runs
+// serially: a ladder's re-run rung may build a fresh accelerator, which
+// must not nest inside the pool.
+void attest_batch(
+    const std::vector<linalg::MatrixF>& batch, const SvdOptions& options,
+    BatchSvd& out,
+    const std::function<EscalationHooks(std::size_t)>& hooks_for);
 
 // The terminal rung: host double-precision one-sided Jacobi, cast back
 // to the library's fp32 factor types. Handles wide inputs by
