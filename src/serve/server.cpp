@@ -7,6 +7,7 @@
 #include "common/assert.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "scenarios/scenarios.hpp"
 #include "verify/verifier.hpp"
 
 namespace hsvd::serve {
@@ -14,7 +15,8 @@ namespace hsvd::serve {
 namespace {
 
 // True when the request opted into backend routing (pin, "auto", or an
-// SLO); such jobs dispatch solo and carry a route-qualified cache key.
+// SLO); such jobs are not coalescible and carry a route-qualified cache
+// key.
 bool routed_request(const Request& request) {
   return !request.backend.empty() || request.slo.has_value();
 }
@@ -28,7 +30,7 @@ std::string route_intent(const Request& request) {
 }
 
 // True when the request carries scenario intent (a named scenario or a
-// truncation rank); such jobs dispatch solo and carry scenario-
+// truncation rank); such jobs are not coalescible and carry scenario-
 // qualified cache keys.
 bool scenario_request(const Request& request) {
   return !request.scenario.empty() || request.top_k > 0;
@@ -176,13 +178,6 @@ std::future<Response> SvdServer::submit(Request request) {
     job.admitted_s = now_s;
     job.tenant = idx;
     job.band = band;
-    // Routed and scenario-tagged requests never coalesce: the
-    // coalescer dispatches under the pinned classic accelerator
-    // configuration, which a routed job may not even run on and a
-    // scenario front-end bypasses entirely. QoS queues/quotas are
-    // untouched -- these only change what happens at dispatch.
-    job.solo_only =
-        routed_request(job.request) || scenario_request(job.request);
     const double budget = job.request.deadline_seconds > 0.0
                               ? job.request.deadline_seconds
                               : options_.default_deadline_seconds;
@@ -270,112 +265,6 @@ void SvdServer::worker_loop(std::size_t worker_index) {
   }
 }
 
-Response SvdServer::execute(Job& job, common::CancelToken& token) {
-  Response out;
-  const double start_s = clock_->now_seconds();
-  out.queue_seconds = start_s - job.admitted_s;
-
-  if (token.expired()) {
-    out.status = ServeStatus::kExpired;
-    out.message = "deadline expired while queued";
-    out.service_seconds = clock_->now_seconds() - start_s;
-    return out;
-  }
-
-  common::BackoffSchedule backoff(options_.retry, job.serial);
-  const int max_attempts = options_.retry.max_attempts;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (!breaker_.allow()) {
-      out.status = ServeStatus::kCircuitOpen;
-      out.message = "circuit breaker open, request fast-failed";
-      count("serve.breaker.fast_fail");
-      break;
-    }
-    out.attempts = attempt;
-
-    SvdOptions svd_options = options_.svd;
-    svd_options.cancel = &token;
-    svd_options.clock = clock_;
-    svd_options.retry.reset();  // the server owns the retry loop
-    if (job.request.fault_injector != nullptr) {
-      svd_options.fault_injector = job.request.fault_injector;
-    }
-    // Per-request routing overrides the server's base options; svd()
-    // validates the combination and dispatches through the router.
-    if (routed_request(job.request)) {
-      svd_options.backend = job.request.backend;
-      svd_options.slo = job.request.slo;
-    }
-
-    bool transient = false;
-    try {
-      // Scenario intent overrides the base options inside the try: an
-      // unknown scenario name is an InputError, handled like any other
-      // deterministic rejection below.
-      if (!job.request.scenario.empty()) {
-        svd_options.scenario = scenarios::parse_scenario(job.request.scenario);
-      }
-      if (job.request.top_k > 0) svd_options.top_k = job.request.top_k;
-      out.result = hsvd::svd(job.request.matrix, svd_options);
-      out.backend = out.result.backend;
-      breaker_.record_success();
-      if (out.result.status == SvdStatus::kNotConverged) {
-        if (options_.retry.retry_not_converged && attempt < max_attempts &&
-            !token.expired()) {
-          transient = true;
-        } else {
-          out.status = ServeStatus::kNotConverged;
-          out.message = out.result.message;
-          break;
-        }
-      } else {
-        out.status = ServeStatus::kOk;
-        out.message.clear();
-        break;
-      }
-    } catch (const hsvd::DeadlineExceeded& e) {
-      breaker_.record_neutral();
-      out.status = ServeStatus::kExpired;
-      out.message = e.what();
-      break;
-    } catch (const hsvd::InputError& e) {
-      breaker_.record_neutral();
-      out.status = ServeStatus::kFailed;
-      out.message = e.what();
-      break;  // deterministic rejection, retrying cannot help
-    } catch (const hsvd::FaultDetected& e) {
-      breaker_.record_failure();
-      out.status = ServeStatus::kFailed;
-      out.message = e.what();
-      if (attempt < max_attempts && !token.expired()) transient = true;
-    } catch (const std::exception& e) {
-      breaker_.record_neutral();
-      out.status = ServeStatus::kFailed;
-      out.message = e.what();
-      break;
-    }
-
-    if (!transient) break;
-    count("serve.retries");
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.retries;
-    }
-    const double delay =
-        std::min(backoff.delay_seconds(attempt), token.remaining_seconds());
-    if (delay > 0.0) clock_->sleep_for(delay);
-    if (token.expired()) {
-      out.status = ServeStatus::kExpired;
-      out.message = "deadline expired during retry backoff";
-      break;
-    }
-  }
-
-  publish_breaker();
-  out.service_seconds = clock_->now_seconds() - start_s;
-  return out;
-}
-
 void SvdServer::dispatch(std::size_t worker_index, Job primary,
                          std::vector<Job> extras) {
   std::vector<Job> jobs;
@@ -453,35 +342,192 @@ void SvdServer::dispatch(std::size_t worker_index, Job primary,
     }
     runnable.push_back(std::move(job));
   }
-  if (runnable.empty()) return;
+  if (!runnable.empty()) execute(worker_index, std::move(runnable));
+}
 
-  if (runnable.size() == 1) {
-    Job job = std::move(runnable.front());
-    common::CancelToken token(*clock_, job.deadline_abs_s);
-    register_running(worker_index, job.band, &token);
-    Response response = execute(job, token);
-    const bool preempted = unregister_running(worker_index, job.deadline_abs_s);
-    // Only a job that made an attempt reached svd(); a breaker fast-fail
-    // or a deadline that ran out first keeps batch_size 0.
-    if (response.attempts > 0) {
-      note_dispatch(1);
-      response.batch_size = 1;
-    }
-    if (preempted && response.status == ServeStatus::kExpired) {
-      requeue(std::move(job), /*count_preemption=*/true);
-      return;
-    }
-    if (response.status == ServeStatus::kOk && cacheable(job)) {
+void SvdServer::execute(std::size_t worker_index, std::vector<Job> jobs) {
+  const double start_s = clock_->now_seconds();
+  // The primary's admission ordinal seeds the jitter stream, so a solo
+  // request keeps the backoff schedule of its own serial.
+  common::BackoffSchedule backoff(options_.retry, jobs.front().serial);
+  // Every live job ran in every round so far, so the jobs share one
+  // attempt count and the size of the latest call.
+  int attempts = 0;
+  std::size_t batch_size = 0;
+  const auto finish = [&](Job& job, Response out) {
+    out.attempts = attempts;
+    out.batch_size = batch_size;
+    out.queue_seconds = start_s - job.admitted_s;
+    out.service_seconds = clock_->now_seconds() - start_s;
+    if (out.status == ServeStatus::kOk && cacheable(job)) {
       cache_->insert(job.request.matrix,
-                     ResultCache::digest(job.request.matrix), response.result,
+                     ResultCache::digest(job.request.matrix), out.result,
                      route_intent(job.request), job.request.scenario,
                      job.request.top_k);
     }
-    note_terminal(job, response);
-    resolve(std::move(job), std::move(response));
-    return;
+    note_terminal(job, out);
+    resolve(std::move(job), std::move(out));
+  };
+  const auto fail = [&](Job& job, ServeStatus status, std::string message) {
+    Response out;
+    out.status = status;
+    out.message = std::move(message);
+    finish(job, std::move(out));
+  };
+
+  while (!jobs.empty()) {
+    if (!breaker_.allow()) {
+      count("serve.breaker.fast_fail", jobs.size());
+      for (Job& job : jobs) {
+        fail(job, ServeStatus::kCircuitOpen,
+             "circuit breaker open, request fast-failed");
+      }
+      break;
+    }
+    const std::size_t k = jobs.size();
+    ++attempts;
+    batch_size = k;
+    note_dispatch(k);
+    // One token for the round: the earliest member deadline bounds the
+    // call, and preemption cancels through the same token.
+    double earliest = std::numeric_limits<double>::infinity();
+    for (const Job& job : jobs) {
+      earliest = std::min(earliest, job.deadline_abs_s);
+    }
+    common::CancelToken token(*clock_, earliest);
+    register_running(worker_index, jobs.front().band, &token);
+
+    std::vector<Svd> results;
+    std::optional<std::string> aborted;  // diagnostic of a call that threw
+    bool deadline_hit = false;
+    try {
+      const Request& lead = jobs.front().request;
+      SvdOptions svd_options = options_.svd;
+      svd_options.cancel = &token;
+      svd_options.clock = clock_;
+      svd_options.retry.reset();  // the server owns the retry loop
+      // Injector, routing and scenario intent only ride on solo jobs.
+      // An unknown scenario name is an InputError, a deterministic
+      // rejection like any other.
+      if (lead.fault_injector != nullptr) {
+        svd_options.fault_injector = lead.fault_injector;
+      }
+      if (routed_request(lead)) {
+        svd_options.backend = lead.backend;
+        svd_options.slo = lead.slo;
+      }
+      if (!lead.scenario.empty()) {
+        svd_options.scenario = scenarios::parse_scenario(lead.scenario);
+      }
+      if (lead.top_k > 0) svd_options.top_k = lead.top_k;
+      if (!svd_options.config.has_value() && coalescible(jobs.front())) {
+        // Pin the configuration the serial path would choose for one
+        // matrix of this shape, alone or batched: this is what makes a
+        // coalesced result bit-identical to serving it alone.
+        svd_options.config =
+            config_for_shape(lead.matrix.rows(), lead.matrix.cols());
+      }
+      if (k == 1) {
+        results.push_back(hsvd::svd(lead.matrix, svd_options));
+      } else {
+        std::vector<linalg::MatrixF> batch;
+        batch.reserve(k);
+        for (const Job& job : jobs) batch.push_back(job.request.matrix);
+        results = hsvd::svd_batch(batch, svd_options).results;
+      }
+    } catch (const hsvd::DeadlineExceeded& e) {
+      deadline_hit = true;
+      aborted = e.what();
+    } catch (const hsvd::FaultDetected& e) {
+      // svd() throws the fault that svd_batch() reports per task.
+      Svd failed;
+      failed.status = SvdStatus::kFailed;
+      failed.message = e.what();
+      results.assign(k, failed);
+    } catch (const std::exception& e) {
+      aborted = e.what();  // invalid request: retrying cannot help
+    }
+    const bool preempted = unregister_running(worker_index);
+    const double end_s = clock_->now_seconds();
+    if (aborted.has_value()) breaker_.record_neutral();
+
+    std::vector<Job> retry;
+    for (std::size_t i = 0; i < k; ++i) {
+      Job& job = jobs[i];
+      const bool live = end_s < job.deadline_abs_s;
+      if (deadline_hit) {
+        // The call stopped at a sweep barrier: a member whose own
+        // deadline passed expires; the rest (preempted, or collateral of
+        // a batch-mate's deadline) go back to the queue front and re-run
+        // bit-identically.
+        if (live) {
+          requeue(std::move(job), preempted);
+        } else {
+          fail(job, ServeStatus::kExpired, *aborted);
+        }
+        continue;
+      }
+      if (aborted.has_value()) {
+        fail(job, ServeStatus::kFailed, *aborted);
+        continue;
+      }
+      Svd& result = results[i];
+      const bool failed = result.status == SvdStatus::kFailed;
+      if (failed) {
+        breaker_.record_failure();
+      } else {
+        breaker_.record_success();
+      }
+      const bool transient =
+          failed || (result.status == SvdStatus::kNotConverged &&
+                     options_.retry.retry_not_converged);
+      // A preempted worker frees itself: no retry, the outcome stands.
+      if (transient && attempts < options_.retry.max_attempts && live &&
+          !preempted) {
+        retry.push_back(std::move(job));
+        continue;
+      }
+      Response out;
+      out.status = failed ? ServeStatus::kFailed
+                   : result.status == SvdStatus::kOk
+                       ? ServeStatus::kOk
+                       : ServeStatus::kNotConverged;
+      if (out.status != ServeStatus::kOk) out.message = result.message;
+      if (!failed) {
+        out.result = std::move(result);
+        out.backend = out.result.backend;
+      }
+      finish(job, std::move(out));
+    }
+    if (retry.empty()) break;
+
+    // The transiently failed members retry in place, together in one
+    // call of just them, after one backoff that never sleeps past the
+    // latest of their deadlines; a member whose deadline passes
+    // meanwhile expires.
+    count("serve.retries", retry.size());
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      counters_.retries += retry.size();
+    }
+    double latest = 0.0;
+    for (const Job& job : retry) latest = std::max(latest, job.deadline_abs_s);
+    const double delay =
+        std::min(backoff.delay_seconds(attempts),
+                 std::max(0.0, latest - clock_->now_seconds()));
+    if (delay > 0.0) clock_->sleep_for(delay);
+    const double now_s = clock_->now_seconds();
+    jobs.clear();
+    for (Job& job : retry) {
+      if (now_s >= job.deadline_abs_s) {
+        fail(job, ServeStatus::kExpired,
+             "deadline expired during retry backoff");
+      } else {
+        jobs.push_back(std::move(job));
+      }
+    }
   }
-  execute_coalesced(worker_index, std::move(runnable));
+  publish_breaker();
 }
 
 void SvdServer::note_dispatch(std::size_t tasks) {
@@ -492,162 +538,6 @@ void SvdServer::note_dispatch(std::size_t tasks) {
   }
   count("serve.batch.dispatches");
   observe("serve.batch.fill", static_cast<double>(tasks));
-}
-
-void SvdServer::execute_coalesced(std::size_t worker_index,
-                                  std::vector<Job> jobs) {
-  const double start_s = clock_->now_seconds();
-  const std::size_t k = jobs.size();
-
-  if (!breaker_.allow()) {
-    count("serve.breaker.fast_fail", k);
-    const double end_s = clock_->now_seconds();
-    for (Job& job : jobs) {
-      Response out;
-      out.status = ServeStatus::kCircuitOpen;
-      out.message = "circuit breaker open, request fast-failed";
-      out.queue_seconds = start_s - job.admitted_s;
-      out.service_seconds = end_s - start_s;
-      note_terminal(job, out);
-      resolve(std::move(job), std::move(out));
-    }
-    return;
-  }
-  note_dispatch(k);
-
-  // One token covering the whole dispatch: the earliest member deadline
-  // bounds the batch, and preemption cancels through the same token.
-  double min_deadline = std::numeric_limits<double>::infinity();
-  for (const Job& job : jobs) {
-    min_deadline = std::min(min_deadline, job.deadline_abs_s);
-  }
-  common::CancelToken token(*clock_, min_deadline);
-  register_running(worker_index, jobs.front().band, &token);
-
-  SvdOptions svd_options = options_.svd;
-  svd_options.cancel = &token;
-  svd_options.clock = clock_;
-  svd_options.retry.reset();
-  const std::size_t rows = jobs.front().request.matrix.rows();
-  const std::size_t cols = jobs.front().request.matrix.cols();
-  if (!svd_options.config.has_value()) {
-    // Pin the configuration the serial path would have chosen for one
-    // matrix of this shape -- this is what makes a coalesced result
-    // bit-identical to serving its members one at a time.
-    svd_options.config = config_for_shape(rows, cols);
-  }
-
-  std::vector<linalg::MatrixF> batch;
-  batch.reserve(k);
-  for (const Job& job : jobs) batch.push_back(job.request.matrix);
-
-  std::optional<BatchSvd> ran;
-  bool deadline_hit = false;
-  bool hard_fail = false;
-  std::string diagnostic;
-  try {
-    ran = hsvd::svd_batch(batch, svd_options);
-  } catch (const hsvd::DeadlineExceeded& e) {
-    breaker_.record_neutral();
-    deadline_hit = true;
-    diagnostic = e.what();
-  } catch (const std::exception& e) {
-    breaker_.record_neutral();
-    hard_fail = true;
-    diagnostic = e.what();
-  }
-  const bool preempt_flag = unregister_running(
-      worker_index, std::numeric_limits<double>::infinity());
-  const double end_s = clock_->now_seconds();
-
-  if (deadline_hit) {
-    // The batch aborted at a sweep barrier: members whose own deadline
-    // passed expire; the rest (preempted, or collateral of a
-    // batch-mate's earlier deadline) go back to the queue front and
-    // re-run bit-identically.
-    for (Job& job : jobs) {
-      if (end_s >= job.deadline_abs_s) {
-        Response out;
-        out.status = ServeStatus::kExpired;
-        out.attempts = 1;
-        out.message = diagnostic;
-        out.queue_seconds = start_s - job.admitted_s;
-        out.service_seconds = end_s - start_s;
-        out.batch_size = k;
-        note_terminal(job, out);
-        resolve(std::move(job), std::move(out));
-      } else {
-        requeue(std::move(job), preempt_flag);
-      }
-    }
-    return;
-  }
-  if (hard_fail) {
-    for (Job& job : jobs) {
-      Response out;
-      out.status = ServeStatus::kFailed;
-      out.attempts = 1;
-      out.message = diagnostic;
-      out.queue_seconds = start_s - job.admitted_s;
-      out.service_seconds = end_s - start_s;
-      out.batch_size = k;
-      note_terminal(job, out);
-      resolve(std::move(job), std::move(out));
-    }
-    return;
-  }
-
-  const bool can_retry = options_.retry.max_attempts > 1;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    Job& job = jobs[i];
-    Svd& result = ran->results[i];
-    Response out;
-    out.attempts = 1;
-    out.queue_seconds = start_s - job.admitted_s;
-    out.service_seconds = end_s - start_s;
-    out.batch_size = k;
-    const bool failed = result.status == SvdStatus::kFailed;
-    const bool not_converged = result.status == SvdStatus::kNotConverged;
-    if (failed) {
-      breaker_.record_failure();
-    } else {
-      breaker_.record_success();
-    }
-    if (can_retry &&
-        (failed || (not_converged && options_.retry.retry_not_converged)) &&
-        !stopping_seen()) {
-      // Fall back to the solo path, which owns backoff and the
-      // remaining attempt budget.
-      count("serve.retries");
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++counters_.retries;
-      }
-      job.solo_only = true;
-      requeue(std::move(job), /*count_preemption=*/false);
-      continue;
-    }
-    if (failed) {
-      out.status = ServeStatus::kFailed;
-      out.message = result.message;
-    } else if (not_converged) {
-      out.status = ServeStatus::kNotConverged;
-      out.result = std::move(result);
-      out.message = out.result.message;
-    } else {
-      if (cacheable(job)) {
-        cache_->insert(job.request.matrix,
-                       ResultCache::digest(job.request.matrix), result,
-                       route_intent(job.request));
-      }
-      out.status = ServeStatus::kOk;
-      out.result = std::move(result);
-      out.backend = out.result.backend;
-    }
-    note_terminal(job, out);
-    resolve(std::move(job), std::move(out));
-  }
-  publish_breaker();
 }
 
 accel::HeteroSvdConfig SvdServer::config_for_shape(std::size_t rows,
@@ -693,24 +583,15 @@ void SvdServer::gather_coalesce_locked(const Job& primary,
                                        std::vector<Job>& extras,
                                        double now_s) {
   const QosOptions& qos = options_.qos;
-  if (qos.coalesce_max_batch <= 1) return;
-  if (primary.solo_only || primary.request.fault_injector != nullptr) return;
-  // With a server-wide injector, batch composition would change which
-  // faults land where; keep every request solo so fault behavior is
-  // independent of coalescing.
-  if (options_.svd.fault_injector != nullptr) return;
+  if (qos.coalesce_max_batch <= 1 || !coalescible(primary)) return;
   const std::size_t rows = primary.request.matrix.rows();
   const std::size_t cols = primary.request.matrix.cols();
-  // svd() transposes wide inputs internally, svd_batch() does not;
-  // keep wide matrices on the solo path so results stay identical.
-  if (rows < cols) return;
   const double window = qos.coalesce_window_seconds;
   const auto eligible = [&](const Job& job) {
-    return job.request.fault_injector == nullptr && !job.solo_only &&
-           job.request.matrix.rows() == rows &&
+    return job.request.matrix.rows() == rows &&
            job.request.matrix.cols() == cols &&
            std::abs(job.admitted_s - primary.admitted_s) <= window &&
-           job.deadline_abs_s > now_s;
+           job.deadline_abs_s > now_s && coalescible(job);
   };
   // Every ride-along slot is allocated through the same DRR scheduler
   // as a solo dispatch, with backlog restricted to coalescible jobs.
@@ -824,12 +705,10 @@ void SvdServer::register_running(std::size_t worker_index, int band,
   ++counters_.in_service;
 }
 
-bool SvdServer::unregister_running(std::size_t worker_index,
-                                   double deadline_abs_s) {
+bool SvdServer::unregister_running(std::size_t worker_index) {
   std::lock_guard<std::mutex> lock(mutex_);
   WorkerSlot& slot = running_[worker_index];
-  const bool preempted =
-      slot.preempt_requested && clock_->now_seconds() < deadline_abs_s;
+  const bool preempted = slot.preempt_requested;
   slot = WorkerSlot{};
   if (counters_.in_service > 0) --counters_.in_service;
   return preempted;
@@ -858,9 +737,27 @@ bool SvdServer::cacheable(const Job& job) const {
          options_.svd.fault_injector == nullptr;
 }
 
-bool SvdServer::stopping_seen() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stopping_;
+bool SvdServer::coalescible(const Job& job) const {
+  const Request& request = job.request;
+  const std::size_t rows = request.matrix.rows();
+  const std::size_t cols = request.matrix.cols();
+  // svd_batch() runs one dense configuration: no routing, no scenario
+  // front end, no wide-input transpose (svd() alone does those), and no
+  // per-request injector. With a server-wide injector, batch
+  // composition would decide which faults land where.
+  if (routed_request(request) || scenario_request(request) ||
+      request.fault_injector != nullptr ||
+      options_.svd.fault_injector != nullptr || rows < cols) {
+    return false;
+  }
+  // The base options may send this shape through a front end on their
+  // own (scenario kAuto engages tall-skinny above the aspect ratio).
+  try {
+    return scenarios::select_scenario(rows, cols, options_.svd) ==
+           scenarios::Scenario::kOff;
+  } catch (const InputError&) {
+    return false;  // svd() rejects the request solo
+  }
 }
 
 void SvdServer::publish_breaker() {

@@ -14,9 +14,10 @@
 //     accelerator's slot-chain boundaries (kExpired).
 //   retry/backoff -- transient failures (FaultDetected, and optionally
 //     kNotConverged) are re-submitted up to RetryPolicy::max_attempts
-//     with exponential backoff and deterministic seeded jitter; the
-//     jitter stream is derived from the request's admission ordinal, so
-//     a fixed seed replays the same schedule.
+//     attempts in all with exponential backoff and deterministic seeded
+//     jitter; the jitter stream is derived from the admission ordinal of
+//     the dispatch's first request, so a fixed seed replays the same
+//     schedule. The failed members of a coalesced batch retry together.
 //   circuit breaker -- consecutive fabric failures trip it; while open,
 //     queued requests fast-fail (kCircuitOpen) instead of burning the
 //     fabric; after a cooldown, probe requests half-open it and
@@ -155,10 +156,11 @@ struct Response {
   ServeStatus status = ServeStatus::kFailed;
   // Valid for kOk / kNotConverged only.
   Svd result;
-  // Attempts actually executed (0 when the request never ran: shed,
+  // Attempts actually executed, retries included, never more than
+  // RetryPolicy::max_attempts (0 when the request never ran: shed,
   // expired in queue, served from cache, or fast-failed by the
-  // breaker). A request re-queued by preemption or a coalesced-batch
-  // fallback reports the attempts of its final execution.
+  // breaker). A request re-queued by preemption reports the attempts of
+  // its final execution.
   int attempts = 0;
   std::string message;
   double queue_seconds = 0.0;    // admission -> service start
@@ -167,8 +169,10 @@ struct Response {
   std::string tenant;
   Priority priority = Priority::kNormal;
   bool cache_hit = false;
-  // Tasks in the dispatch that produced this result: 1 = solo, k >= 2
-  // = coalesced svd_batch of k, 0 = never reached the fabric.
+  // Tasks in the call that produced this result: 1 = svd() alone,
+  // k >= 2 = coalesced svd_batch of k, 0 = never reached the fabric. A
+  // retry re-runs only the failed members, so it may be smaller than
+  // the first call.
   std::size_t batch_size = 0;
   // Times this request was preempted at a sweep barrier and re-queued.
   int preemptions = 0;
@@ -220,9 +224,10 @@ struct ServerStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_collisions = 0;
   std::uint64_t cache_evictions = 0;
-  // Fabric dispatches (any size) and the jobs across them. A job that
-  // never reached svd() / svd_batch() -- a breaker fast-fail, a deadline
-  // that ran out before its first attempt -- is not dispatched.
+  // Fabric calls (any size, retry rounds included) and the jobs across
+  // them. A job that never reached svd() / svd_batch() -- a breaker
+  // fast-fail, a deadline that ran out before its first attempt -- is
+  // not dispatched.
   std::uint64_t batch_dispatches = 0;
   std::uint64_t batch_tasks = 0;
   std::size_t in_service = 0;             // jobs executing right now
@@ -268,9 +273,8 @@ class SvdServer {
     // --- QoS bookkeeping --------------------------------------------
     std::size_t tenant = 0;        // index into tenants_
     int band = 1;                  // priority class
-    int preemptions = 0;
-    bool solo_only = false;        // after a coalesced-batch fallback
-    std::uint64_t dispatch_ordinal = 0;
+    int preemptions = 0;           // times re-queued by preemption
+    std::uint64_t dispatch_ordinal = 0;  // 1-based service-start order
   };
 
   // Per-tenant runtime state. Move-only: jobs carry a promise, so the
@@ -299,31 +303,38 @@ class SvdServer {
   };
 
   void worker_loop(std::size_t worker_index);
-  // Solo execution: the retry loop, breaker gating, deadline handling.
-  Response execute(Job& job, common::CancelToken& token);
   // Dispatch of one popped job + coalesced extras: expiry and cache
-  // probes, then execute() for one job or execute_coalesced() for more.
+  // probes, then execute() on whatever still needs the fabric.
   void dispatch(std::size_t worker_index, Job primary,
                 std::vector<Job> extras);
-  void execute_coalesced(std::size_t worker_index, std::vector<Job> jobs);
-  // Counts one fabric dispatch of `tasks` jobs; called only once the
-  // jobs have reached svd() / svd_batch().
+  // The one executor for 1..k jobs; a solo request is a batch of one.
+  // Each round checks the breaker once, runs one call (svd() for one
+  // matrix, svd_batch() for more) under a token at the earliest live
+  // deadline, and maps each job's outcome: resolve it, re-queue it
+  // (preempted or collateral), or retry it in place with the other
+  // transient failures after one backoff, up to max_attempts in all.
+  void execute(std::size_t worker_index, std::vector<Job> jobs);
+  // Counts one fabric call of `tasks` jobs; called only once the jobs
+  // have reached svd() / svd_batch().
   void note_dispatch(std::size_t tasks);
   accel::HeteroSvdConfig config_for_shape(std::size_t rows, std::size_t cols);
+  // Whether svd_batch() gives this job the bits svd() would: a plain,
+  // injector-free, tall-or-square request whose shape the base options
+  // keep on the dense path. Coalescible jobs run under the memoized
+  // config_for_shape() whether they dispatch alone or batched.
+  bool coalescible(const Job& job) const;
 
   std::optional<Job> pop_next_locked();
   void gather_coalesce_locked(const Job& primary, std::vector<Job>& extras,
                               double now_s);
   std::size_t total_backlog_locked() const;
   void requeue(Job job, bool count_preemption);
-  bool stopping_seen() const;
   void resolve(Job job, Response response);
   void note_terminal(const Job& job, const Response& response);
   void register_running(std::size_t worker_index, int band,
                         common::CancelToken* token);
-  // Clears the slot; returns true when a preemption was requested and
-  // the job's own deadline had not actually passed.
-  bool unregister_running(std::size_t worker_index, double deadline_abs_s);
+  // Clears the slot; returns true when a preemption was requested.
+  bool unregister_running(std::size_t worker_index);
   void maybe_preempt_locked(int incoming_band);
   bool cacheable(const Job& job) const;
 
@@ -353,7 +364,7 @@ class SvdServer {
   std::uint64_t next_serial_ = 0;
   std::uint64_t next_dispatch_ = 0;
 
-  // Per-shape pinned configuration for coalesced dispatches (the DSE
+  // Per-shape pinned configuration for coalescible dispatches (the DSE
   // choice the serial path would make); separate mutex because the DSE
   // is expensive and must not run under mutex_.
   std::mutex config_mutex_;

@@ -3,7 +3,8 @@
 // Pumps a stream of randomized requests through an SvdServer whose
 // fabric is fault-injected, then prints a survival report: every
 // request must reach a terminal status (ok / not-converged / shed /
-// expired / circuit-open / failed), and -- with --verify -- every
+// expired / circuit-open / failed) within its --retries attempt budget
+// and in a call of at most --coalesce tasks, and -- with --verify -- every
 // chaos-free request that succeeded must match a reference
 // decomposition bit for bit, proving the resilience machinery (and the
 // QoS layer's coalescing and result cache) never perturbs healthy
@@ -637,6 +638,23 @@ int main(int argc, char** argv) {
       if (!terminal[i]) {
         std::fprintf(stderr, "VIOLATION: request %zu never became terminal\n",
                      i);
+        ++violations;
+      }
+      // Retries, coalesced ones included, stay inside the attempt
+      // budget, and no call carries more tasks than the coalescer may
+      // gather.
+      if (responses[i].attempts > options.retry.max_attempts) {
+        std::fprintf(stderr,
+                     "VIOLATION: request %zu ran %d attempts, budget %d\n", i,
+                     responses[i].attempts, options.retry.max_attempts);
+        ++violations;
+      }
+      if (responses[i].batch_size > options.qos.coalesce_max_batch) {
+        std::fprintf(stderr,
+                     "VIOLATION: request %zu ran in a call of %zu tasks, "
+                     "coalesce limit %zu\n",
+                     i, responses[i].batch_size,
+                     options.qos.coalesce_max_batch);
         ++violations;
       }
     }
